@@ -1,16 +1,14 @@
 """Command-line front end: figure reproduction sweeps, test protocols, netlists.
 
 Exit codes: 0 success, 2 precondition/parse failure (one-line `error E_...`
-message on stderr).  FERRO_THREADS caps sweep parallelism.
+message on stderr).
 """
 
 from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -23,25 +21,10 @@ class CliError(Exception):
         super().__init__(f"{code}: {detail}" if detail else code)
 
 
-def _threads() -> int:
-    raw = os.environ.get("FERRO_THREADS", "")
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            raise CliError("E_BAD_THREADS", raw) from None
-    return min(8, os.cpu_count() or 1)
-
-
 def _phi_grid(points: int) -> np.ndarray:
     if points < 2:
         raise CliError("E_BAD_GRID", str(points))
     return np.linspace(0.0, 2.0 * math.pi, points)
-
-
-def _sweep(fn, grid):
-    with ThreadPoolExecutor(max_workers=_threads()) as ex:
-        return list(ex.map(fn, grid))
 
 
 def cmd_fig2(args) -> int:
@@ -52,12 +35,12 @@ def cmd_fig2(args) -> int:
 
     def row(phi: float):
         psi = states.magic_state(phi)
-        vals = [measures.ng_entropy(psi, k=k) for k in range(1, kmax + 1)]
+        vals = measures.ng_entropies(psi, kmax)
         vals.append(measures.ng_relative_entropy(psi, check=False))
         return [float(phi)] + [float(v) for v in vals]
 
     header = ["phi"] + [f"NG_k{k}" for k in range(1, kmax + 1)] + ["NG_inf"]
-    io.write_csv(args.out, header, _sweep(row, grid))
+    io.write_csv(args.out, header, [row(phi) for phi in grid])
     return 0
 
 
@@ -69,7 +52,7 @@ def cmd_weights(args) -> int:
         _, k_g, k_m, k_total = measures.cumulant_weights(psi)
         return [float(phi), k_g, k_m, k_total]
 
-    io.write_csv(args.out, ["phi", "K_G", "K_M", "K"], _sweep(row, grid))
+    io.write_csv(args.out, ["phi", "K_G", "K_M", "K"], [row(phi) for phi in grid])
     return 0
 
 
@@ -81,11 +64,11 @@ def cmd_renyi(args) -> int:
 
     def row(phi: float):
         psi = states.magic_state(phi)
-        vals = [measures.ng_entropy(psi, k=k, alpha=args.alpha) for k in range(1, kmax + 1)]
+        vals = measures.ng_entropies(psi, kmax, alpha=args.alpha)
         return [float(phi)] + [float(v) for v in vals]
 
     header = ["phi"] + [f"NG_a{io.fmt(args.alpha)}_k{k}" for k in range(1, kmax + 1)]
-    io.write_csv(args.out, header, _sweep(row, grid))
+    io.write_csv(args.out, header, [row(phi) for phi in grid])
     return 0
 
 
@@ -101,17 +84,27 @@ def _load(path: str):
         raise CliError(e.code, "") from None
 
 
+def _density(arr: np.ndarray, kind: str) -> np.ndarray:
+    """A density matrix as given, or the projector onto a normalised state vector."""
+    if kind == "matrix":
+        return arr
+    norm = np.linalg.norm(arr)
+    if norm == 0.0:
+        raise CliError("E_ZERO_VECTOR")
+    arr = arr / norm
+    return np.outer(arr, arr.conj())
+
+
 def cmd_test_state(args) -> int:
-    arr, kind = _load(args.statefile)
-    if kind == "vector":
-        arr = arr / np.linalg.norm(arr)
-        rho = np.outer(arr, arr.conj())
-    else:
-        rho = arr
+    rho = _density(*_load(args.statefile))
     try:
         clifford.assert_state(rho)
     except ValueError as e:
         raise CliError("E_NOT_A_STATE", str(e)) from None
+    try:
+        measures.assert_pure(rho)
+    except ValueError as e:
+        raise CliError("E_NOT_PURE", str(e)) from None
     even = testing.even_state_test(rho)
     if not even:
         print("even: no")
@@ -144,12 +137,7 @@ def cmd_test_unitary(args) -> int:
 
 
 def cmd_clt(args) -> int:
-    arr, kind = _load(args.statefile)
-    if kind == "vector":
-        arr = arr / np.linalg.norm(arr)
-        rho = np.outer(arr, arr.conj())
-    else:
-        rho = arr
+    rho = _density(*_load(args.statefile))
     try:
         clifford.assert_state(rho)
         if not clifford.is_even(rho):

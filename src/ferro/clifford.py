@@ -28,8 +28,10 @@ def num_qubits(a: np.ndarray) -> int:
 
 
 def assert_state(rho: np.ndarray, eps: float = EPS_PSD) -> None:
-    """Check Hermiticity, unit trace and positivity up to tolerance."""
+    """Check finiteness, Hermiticity, unit trace and positivity up to tolerance."""
     num_qubits(rho)
+    if not np.isfinite(rho).all():
+        raise ValueError("state has non-finite entries")
     if np.linalg.norm(rho - rho.conj().T) > 1e-8:
         raise ValueError("state is not Hermitian")
     if abs(np.trace(rho) - 1.0) > 1e-8:
@@ -40,6 +42,8 @@ def assert_state(rho: np.ndarray, eps: float = EPS_PSD) -> None:
 
 def assert_unitary(u: np.ndarray, eps: float = EPS_UNITARY) -> None:
     n = num_qubits(u)
+    if not np.isfinite(u).all():
+        raise ValueError("matrix has non-finite entries")
     d = 1 << n
     res = np.linalg.norm(u.conj().T @ u - np.eye(d)) / math.sqrt(d)
     if res > eps:

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import clifford
 from .grassmann import popcounts
@@ -60,51 +59,29 @@ class CanonicalForm:
 
 
 def canonicalize(sigma: np.ndarray) -> CanonicalForm:
-    """Real-Schur block diagonalization with lambda >= 0 (except a possible
-    det-fix sign on the smallest block), sorted descending by |lambda|."""
+    """Block diagonalization with lambda >= 0 (except a possible det-fix sign on
+    the smallest block), sorted descending by |lambda|.
+
+    Each eigenvalue lambda > 0 of the Hermitian i*Sigma has an eigenvector
+    (x - i y)/sqrt(2) with Sigma x = -lambda y and Sigma y = lambda x, so
+    (x, y) are the columns of its block; blocks with lambda = 0 take a real
+    orthonormal basis of the kernel of Sigma.
+    """
     _check_antisymmetric(sigma)
+    if sigma.shape[0] % 2:
+        raise ValueError("canonical form needs an even dimension")
     n = sigma.shape[0] // 2
-    t, q = scipy.linalg.schur(sigma, output="real")
-
-    lams = []
-    cols = []
-    i = 0
-    while i < 2 * n:
-        if i + 1 < 2 * n and abs(t[i, i + 1]) > 1e-12:
-            lams.append(0.5 * (t[i, i + 1] - t[i + 1, i]))
-            cols.append((i, i + 1))
-            i += 2
-        else:
-            lams.append(0.0)
-            cols.append((i, None))
-            i += 1
-
-    # pair leftover zero columns
-    pairs = []
-    lone = []
-    for lam, (a, b) in zip(lams, cols):
-        if b is None:
-            lone.append(a)
-        else:
-            pairs.append((lam, a, b))
-    for a, b in zip(lone[::2], lone[1::2]):
-        pairs.append((0.0, a, b))
-
-    # force lambda >= 0 by an in-block reflection (sign absorbed into R)
-    fixed = []
-    for lam, a, b in pairs:
-        if lam < 0:
-            fixed.append((-lam, b, a))
-        else:
-            fixed.append((lam, a, b))
-    fixed.sort(key=lambda p: -abs(p[0]))
-
-    r = np.empty_like(q)
-    lambdas = np.empty(n)
-    for j, (lam, a, b) in enumerate(fixed):
-        lambdas[j] = lam
-        r[:, 2 * j] = q[:, a]
-        r[:, 2 * j + 1] = q[:, b]
+    w, v = np.linalg.eigh(1j * sigma)
+    pos = w > 1e-12  # eigh sorts ascending: reverse for descending lambda
+    lams = w[pos][::-1]
+    vecs = math.sqrt(2.0) * v[:, pos][:, ::-1]
+    p = len(lams)
+    r = np.empty((2 * n, 2 * n))
+    r[:, 0 : 2 * p : 2] = vecs.real
+    r[:, 1 : 2 * p : 2] = -vecs.imag
+    # singular values come out descending, so the kernel's vectors come last
+    r[:, 2 * p :] = np.linalg.svd(sigma)[2][2 * p :].T
+    lambdas = np.concatenate([lams, np.zeros(n - p)])
 
     if np.linalg.det(r) < 0:
         # reflect the last (smallest |lambda|) block into SO(2n)

@@ -7,6 +7,8 @@ row-major order; a file with dim entry lines holds a state vector.
 
 from __future__ import annotations
 
+import cmath
+
 import numpy as np
 
 
@@ -36,9 +38,12 @@ def parse_array(text: str):
         if len(parts) != 2:
             raise FormatError("E_BAD_ENTRY", ln)
         try:
-            entries.append(complex(float(parts[0]), float(parts[1])))
+            z = complex(float(parts[0]), float(parts[1]))
         except ValueError:
             raise FormatError("E_BAD_ENTRY", ln) from None
+        if not cmath.isfinite(z):
+            raise FormatError("E_NONFINITE", ln)
+        entries.append(z)
     if len(entries) == dim:
         return np.array(entries), "vector"
     if len(entries) == dim * dim:

@@ -47,23 +47,41 @@ def ng_relative_entropy(rho: np.ndarray, check: bool = True) -> float:
     return max(val, 0.0)
 
 
-def _assert_pure_even(psi: np.ndarray) -> None:
-    clifford.assert_state(psi)
+def assert_pure(psi: np.ndarray) -> None:
+    """Check Tr psi^2 = 1 within EPS_PURE for a state psi."""
     purity = float(np.real(np.trace(psi @ psi)))
     if abs(purity - 1.0) > EPS_PURE:
         raise ValueError("input is not pure within tolerance")
+
+
+def _assert_pure_even(psi: np.ndarray) -> None:
+    clifford.assert_state(psi)
+    assert_pure(psi)
     if not clifford.is_even(psi):
         raise ValueError("input is not even")
 
 
-def ng_entropy(psi: np.ndarray, k: int = 1, alpha: float = 1.0, check: bool = True) -> float:
-    """k-th order non-Gaussian entropy S_alpha(boxtimes^k psi) of a pure even state."""
-    if k < 1:
+def ng_entropies(psi: np.ndarray, kmax: int, alpha: float = 1.0,
+                 check: bool = True) -> list[float]:
+    """Non-Gaussian entropies S_alpha(boxtimes^k psi) for k = 1..kmax of a pure even state.
+
+    Each doubling iterate is convolved once and reused for the next order.
+    """
+    if kmax < 1:
         raise ValueError("order k must be >= 1")
     if check:
         _assert_pure_even(psi)
-    out = convolution.iterate_conv(psi, k, mode="dense", check=False)
-    return clifford.entropy(out, alpha)
+    out = []
+    cur = psi
+    for _ in range(kmax):
+        cur = convolution.convolve(cur, cur, check=False)
+        out.append(clifford.entropy(cur, alpha))
+    return out
+
+
+def ng_entropy(psi: np.ndarray, k: int = 1, alpha: float = 1.0, check: bool = True) -> float:
+    """k-th order non-Gaussian entropy S_alpha(boxtimes^k psi) of a pure even state."""
+    return ng_entropies(psi, k, alpha, check)[-1]
 
 
 def ng_entropy_mixed(rho: np.ndarray, k: int = 1, check: bool = True) -> float:

@@ -124,6 +124,17 @@ def test_entropy_rejects_non_state():
         clifford.entropy(np.diag([1.5, -0.5]).astype(complex))
 
 
+def test_assertions_reject_non_finite():
+    rho = np.eye(2, dtype=complex) / 2
+    rho[0, 1] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        clifford.assert_state(rho)
+    u = np.eye(2, dtype=complex)
+    u[1, 1] = np.inf
+    with pytest.raises(ValueError, match="non-finite"):
+        clifford.assert_unitary(u)
+
+
 def test_is_even():
     assert clifford.is_even(np.diag([0.0, 1.0]).astype(complex))  # |1><1|
     ket01 = np.zeros((2, 2), dtype=complex)

@@ -40,8 +40,14 @@ def test_canonicalize_trivial_cases():
 
 
 def test_canonicalize_random(rng):
-    for n in (1, 2, 3, 4):
-        sig = random_antisymmetric(rng, 2 * n, 0.3)
+    sigmas = [random_antisymmetric(rng, 2 * n, 0.3) for n in (1, 2, 3, 4)]
+    # degenerate spectra: repeated lambda, zero blocks, lambda = 1
+    for lams in ([0.5, 0.5], [0.7, 0.7, 0.2], [0.6, 0.0, 0.0], [0.0, 0.0],
+                 [1.0, 1.0, 0.3], [1.0, 0.0], [0.4, 0.4, 0.4, 0.4], [0.0, 0.0, 0.0, 0.9]):
+        q = np.linalg.qr(rng.normal(size=(2 * len(lams), 2 * len(lams))))[0]
+        sigmas.append(gaussian.CanonicalForm(q, np.array(lams)).reconstruct())
+    for sig in sigmas:
+        n = sig.shape[0] // 2
         can = gaussian.canonicalize(sig)
         assert np.abs(can.reconstruct() - sig).max() < 1e-9
         assert np.abs(can.rotation @ can.rotation.T - np.eye(2 * n)).max() < 1e-9
@@ -53,6 +59,8 @@ def test_canonicalize_random(rng):
 def test_canonicalize_rejects_non_antisymmetric():
     with pytest.raises(ValueError):
         gaussian.canonicalize(np.eye(4))
+    with pytest.raises(ValueError):
+        gaussian.canonicalize(np.zeros((3, 3)))
 
 
 def test_pfaffian_small():

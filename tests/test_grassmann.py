@@ -23,19 +23,6 @@ def test_generator_products():
     assert not z.coeffs.any()
 
 
-def test_g_mul_matches_python_fallback(rng):
-    if not grassmann._HAVE_NUMBA:
-        pytest.skip("numba unavailable")
-    for _ in range(5):
-        a = rng.normal(size=64) + 1j * rng.normal(size=64)
-        b = rng.normal(size=64) + 1j * rng.normal(size=64)
-        out1 = np.zeros(64, dtype=complex)
-        out2 = np.zeros(64, dtype=complex)
-        grassmann._gmul_kernel(a, b, out1)
-        grassmann._gmul_python(a, b, out2)
-        assert np.abs(out1 - out2).max() < 1e-12
-
-
 def test_g_mul_associative_distributive(rng):
     gens = 8
     polys = [
@@ -137,9 +124,3 @@ def test_tensor_additivity(rng):
     emb = grassmann.embed_disjoint(grassmann.cumulants(ra), grassmann.cumulants(rb))
     assert np.abs(joint.coeffs - emb.coeffs).max() < 1e-10
 
-
-def test_interleave_sign():
-    # eta_2 * eta_1: one inversion
-    assert grassmann.interleave_sign(0b10, 0b01) == -1
-    assert grassmann.interleave_sign(0b01, 0b10) == 1
-    assert grassmann.interleave_sign(0, 0b11) == 1

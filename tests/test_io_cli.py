@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ferro
 from ferro import cli, io, states
 
 
@@ -26,6 +31,7 @@ def test_parse_vector_and_matrix(tmp_path):
         ("dim 3\n1 0\n1 0\n1 0\n", "E_DIM_NOT_POWER_OF_TWO"),
         ("dim 2\n1 0\nfoo 0\n", "E_BAD_ENTRY"),
         ("dim 2\n1 0\n0 0\n0 0\n", "E_ENTRY_COUNT"),
+        ("dim 2\n1 0\nnan 0\n", "E_NONFINITE"),
     ],
 )
 def test_parse_errors(text, code):
@@ -116,9 +122,42 @@ def test_cli_decompose(tmp_path):
     assert circuits.phase_invariant_distance(convolution.conv_unitary(math.pi / 4, 1), u) < 1e-9
 
 
-def test_threads_env(monkeypatch):
-    monkeypatch.setenv("FERRO_THREADS", "2")
-    assert cli._threads() == 2
-    monkeypatch.setenv("FERRO_THREADS", "zebra")
-    with pytest.raises(cli.CliError):
-        cli._threads()
+
+def _rejects(tmp_path, capsys, argv, text, code):
+    f = tmp_path / "in.txt"
+    f.write_text(text)
+    assert cli.main([argv[0], str(f), *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error {code}")
+    assert "verdict" not in captured.out
+
+
+def test_cli_rejects_non_finite(tmp_path, capsys):
+    rho = np.full((4, 4), 0.25, dtype=complex)
+    rho[0, 3] = np.nan
+    _rejects(tmp_path, capsys, ["test-state"], io.write_array(rho), "E_NONFINITE")
+    u = np.eye(4, dtype=complex)
+    u[1, 1] = np.inf
+    _rejects(tmp_path, capsys, ["test-unitary"], io.write_array(u), "E_NONFINITE")
+
+
+@pytest.mark.parametrize("dim", [2, 4, 16])
+def test_cli_rejects_zero_vector(tmp_path, capsys, dim):
+    text = io.write_array(np.zeros(dim, dtype=complex))
+    _rejects(tmp_path, capsys, ["test-state"], text, "E_ZERO_VECTOR")
+    _rejects(tmp_path, capsys, ["clt", "--out", str(tmp_path / "c.csv")], text, "E_ZERO_VECTOR")
+
+
+def test_cli_rejects_mixed_state(tmp_path, capsys):
+    rho = np.diag([0.5, 0.0, 0.0, 0.5]).astype(complex)  # even, Gaussian, mixed
+    _rejects(tmp_path, capsys, ["test-state"], io.write_array(rho), "E_NOT_PURE")
+
+
+def test_cli_import_loads_numpy_only():
+    src = str(Path(ferro.__file__).resolve().parents[1])
+    paths = [src, os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    code = "import sys, ferro.cli; print(sorted({'scipy', 'numba'} & set(sys.modules)))"
+    res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         timeout=120, check=True)
+    assert res.stdout.strip() == "[]"

@@ -95,6 +95,17 @@ def test_ng_entropy_gaussian_zero(rng):
             assert measures.ng_entropy(psi, k=k, alpha=alpha, check=False) < 1e-7
 
 
+def test_ng_entropies_match_iterates():
+    psi = states.magic_state(2.0)
+    for alpha in (1.0, 2.0):
+        vals = measures.ng_entropies(psi, 4, alpha=alpha)
+        assert len(vals) == 4
+        for k in range(1, 5):
+            expect = clifford.entropy(convolution.iterate_conv(psi, k), alpha)
+            assert vals[k - 1] == expect
+            assert measures.ng_entropy(psi, k=k, alpha=alpha) == expect
+
+
 def test_ng_entropy_rejects_bad_input(rng):
     with pytest.raises(ValueError):
         measures.ng_entropy(np.eye(4, dtype=complex) / 4)  # mixed
