@@ -15,6 +15,12 @@ import numpy as np
 from . import circuits, clifford, convolution, io, measures, states, testing
 
 
+# largest inputs the commands accept: a state's moment table has 4^n
+# entries, and the Choi state of an n-mode unitary lives on 2n modes
+MAX_STATE_MODES = 6
+MAX_UNITARY_MODES = 4
+
+
 class CliError(Exception):
     def __init__(self, code: str, detail: str = ""):
         self.code = code
@@ -84,6 +90,12 @@ def _load(path: str):
         raise CliError(e.code, "") from None
 
 
+def _check_modes(arr: np.ndarray, max_modes: int) -> None:
+    """E_TOO_LARGE for inputs over max_modes modes, before any 4^n work."""
+    if arr.shape[0] > 1 << max_modes:
+        raise CliError("E_TOO_LARGE", f"dimension {arr.shape[0]} exceeds {1 << max_modes}")
+
+
 def _density(arr: np.ndarray, kind: str) -> np.ndarray:
     """A density matrix as given, or the projector onto a normalised state vector."""
     if kind == "matrix":
@@ -96,7 +108,9 @@ def _density(arr: np.ndarray, kind: str) -> np.ndarray:
 
 
 def cmd_test_state(args) -> int:
-    rho = _density(*_load(args.statefile))
+    arr, kind = _load(args.statefile)
+    _check_modes(arr, MAX_STATE_MODES)
+    rho = _density(arr, kind)
     try:
         clifford.assert_state(rho)
     except ValueError as e:
@@ -123,6 +137,7 @@ def cmd_test_unitary(args) -> int:
     arr, kind = _load(args.unitaryfile)
     if kind != "matrix":
         raise CliError("E_EXPECTED_MATRIX", args.unitaryfile)
+    _check_modes(arr, MAX_UNITARY_MODES)
     try:
         clifford.assert_unitary(arr)
     except ValueError as e:
@@ -137,7 +152,9 @@ def cmd_test_unitary(args) -> int:
 
 
 def cmd_clt(args) -> int:
-    rho = _density(*_load(args.statefile))
+    arr, kind = _load(args.statefile)
+    _check_modes(arr, MAX_STATE_MODES)
+    rho = _density(arr, kind)
     try:
         clifford.assert_state(rho)
         if not clifford.is_even(rho):
@@ -160,9 +177,12 @@ def cmd_clt(args) -> int:
             if k < kmax:
                 cur = convolution.convolve(cur, cur, check=False)
     else:
-        # distances via moment-domain Parseval: ||rho - g||_2 = 2^-n sqrt(sum |diff|^2)
+        # distances via moment-domain Parseval: ||rho - g||_2 = 2^-n sqrt(sum |diff|^2);
+        # the limit G(rho) keeps the cumulants of degree <= 2
         n = clifford.num_qubits(rho)
-        g_mom = grassmann.g_exp(convolution.iterate_conv(rho, 60, mode="cumulant", check=False))
+        psi = grassmann.cumulants(rho, check=False)
+        low = grassmann.popcounts(psi.generators) <= 2
+        g_mom = grassmann.g_exp(grassmann.GrassmannPoly(psi.generators, psi.coeffs * low))
         for k in range(kmax + 1):
             mom_k = grassmann.g_exp(convolution.iterate_conv(rho, k, mode="cumulant", check=False))
             dist = grassmann.l2_norm(mom_k - g_mom) / (1 << n)

@@ -1,9 +1,11 @@
 """Dense Jordan-Wigner representation of the Majorana/Clifford algebra.
 
 Operators are plain complex numpy matrices of dimension 2**q.  Majorana
-generators and their ordered products are manipulated symbolically as
-phased Pauli strings (X^x Z^z masks) and only materialized on demand, so
-moment tables cost O(4^n * 2^n) instead of repeated dense matmuls.
+generators and their ordered products are phased Pauli strings
+phase * X^x Z^z, kept as three arrays indexed by the product's mask and
+materialized as matrices only on demand.  The moment transform and its
+inverse are one gather or scatter plus one 2^n x 2^n matmul with the
+Sylvester-Hadamard matrix: O(8^n) numpy work and no loop over masks.
 """
 
 from __future__ import annotations
@@ -54,13 +56,6 @@ def assert_unitary(u: np.ndarray, eps: float = EPS_UNITARY) -> None:
 # Phased Pauli strings: (phase, x_mask, z_mask) represents phase * X^x Z^z,
 # qubit 0 is the most significant bit so masks align with basis indices.
 
-def _pauli_mul(a, b):
-    pa, xa, za = a
-    pb, xb, zb = b
-    sign = -1.0 if bin(za & xb).count("1") & 1 else 1.0
-    return (pa * pb * sign, xa ^ xb, za ^ zb)
-
-
 def _majorana_pauli(j: int, n: int):
     """Pauli-string form of the j-th Majorana generator, 1 <= j <= 2n."""
     if not 1 <= j <= 2 * n:
@@ -77,16 +72,6 @@ def _majorana_pauli(j: int, n: int):
 
 
 @lru_cache(maxsize=None)
-def _basis_pauli_table(n: int):
-    """(phase, x, z) of gamma_J for every mask J over 2n bits, ascending order."""
-    table = [(1.0 + 0.0j, 0, 0)] * (1 << (2 * n))
-    for mask in range(1, 1 << (2 * n)):
-        high = mask.bit_length()  # highest Majorana index in J
-        table[mask] = _pauli_mul(table[mask ^ (1 << (high - 1))], _majorana_pauli(high, n))
-    return table
-
-
-@lru_cache(maxsize=None)
 def _parity_table(n: int) -> np.ndarray:
     c = np.arange(1 << n, dtype=np.int64)
     par = np.zeros(1 << n, dtype=np.int8)
@@ -94,6 +79,44 @@ def _parity_table(n: int) -> np.ndarray:
         par ^= (c & 1).astype(np.int8)
         c >>= 1
     return par
+
+
+@lru_cache(maxsize=None)
+def _basis_paulis(n: int):
+    """Arrays (phase, x, z) of gamma_J = phase * X^x Z^z for every mask J over 2n bits.
+
+    Built by doubling: the masks with highest Majorana index j are those
+    below 2^(j-1) times gamma_j, and X^a Z^b X^c Z^e = (-1)^{b.c} X^{a^c} Z^{b^e}.
+    """
+    par = _parity_table(n)
+    phase = np.ones(1, dtype=complex)
+    x = np.zeros(1, dtype=np.int64)
+    z = np.zeros(1, dtype=np.int64)
+    for j in range(1, 2 * n + 1):
+        pj, xj, zj = _majorana_pauli(j, n)
+        phase = np.concatenate([phase, phase * pj * (1.0 - 2.0 * par[z & xj])])
+        x = np.concatenate([x, x ^ xj])
+        z = np.concatenate([z, z ^ zj])
+    for a in (phase, x, z):
+        a.setflags(write=False)
+    return phase, x, z
+
+
+@lru_cache(maxsize=None)
+def _moment_transform(n: int):
+    """Sylvester-Hadamard matrix H[i, z] = (-1)^{i.z} and the moment signs.
+
+    Tr(gamma_J^dag rho) = sign_J * sum_i (-1)^{i.z_J} rho[i, i ^ x_J] with
+    sign_J = conj(phase_J) (-1)^{x_J.z_J}; the inverse transform scatters
+    c_J * phase_J, so the two share the table.
+    """
+    phase, x, z = _basis_paulis(n)
+    idx = np.arange(1 << n)
+    had = 1.0 - 2.0 * _parity_table(n)[idx[:, None] & idx[None, :]]
+    sign = np.conj(phase) * (1.0 - 2.0 * _parity_table(n)[x & z])
+    for a in (had, sign):
+        a.setflags(write=False)
+    return had, sign
 
 
 def _pauli_matrix(phase: complex, x: int, z: int, n: int) -> np.ndarray:
@@ -121,7 +144,8 @@ def majorana_product(mask: int, n: int) -> np.ndarray:
     """gamma_J for the bitmask J (bit j-1 set means gamma_j participates)."""
     if mask >> (2 * n):
         raise ValueError(f"index mask {mask:#x} exceeds 2n = {2 * n} bits")
-    return _pauli_matrix(*_basis_pauli_table(n)[mask], n)
+    phase, x, z = _basis_paulis(n)
+    return _pauli_matrix(phase[mask], int(x[mask]), int(z[mask]), n)
 
 
 def parity_operator(n: int) -> np.ndarray:
@@ -135,42 +159,24 @@ def moments(rho: np.ndarray, check: bool = True) -> np.ndarray:
     n = num_qubits(rho)
     if check:
         assert_state(rho)
-    d = 1 << n
-    idx = np.arange(d)
-    par = _parity_table(n)
-    out = np.empty(1 << (2 * n), dtype=complex)
-    for mask, (phase, x, z) in enumerate(_basis_pauli_table(n)):
-        # gamma_J^dag = conj(phase) * (-1)^{x.z} X^x Z^z
-        c = np.conj(phase) * (-1.0 if par[x & z] else 1.0)
-        signs = 1.0 - 2.0 * par[idx & z]
-        out[mask] = c * np.dot(signs, rho[idx, idx ^ x])
-    return out
-
-
-def single_moment(rho: np.ndarray, mask: int) -> complex:
-    """Tr(gamma_J^dag rho) for one index mask."""
-    n = num_qubits(rho)
-    phase, x, z = _basis_pauli_table(n)[mask]
-    par = _parity_table(n)
+    _, x, z = _basis_paulis(n)
+    had, sign = _moment_transform(n)
     idx = np.arange(1 << n)
-    c = np.conj(phase) * (-1.0 if par[x & z] else 1.0)
-    signs = 1.0 - 2.0 * par[idx & z]
-    return complex(c * np.dot(signs, rho[idx, idx ^ x]))
+    v = rho[idx[None, :], idx[None, :] ^ idx[:, None]]  # v[x, i] = rho[i, i ^ x]
+    return sign * (v @ had)[x, z]
 
 
 def from_moments(coeffs: np.ndarray, n: int) -> np.ndarray:
     """Reconstruct 2^-n sum_J c_J gamma_J from a moment table."""
+    phase, x, z = _basis_paulis(n)
+    had, _ = _moment_transform(n)
     d = 1 << n
+    a = np.empty((d, d), dtype=complex)
+    a[x, z] = coeffs * phase
+    b = (a @ had) / d  # b[x, i] = 2^-n sum_z a[x, z] (-1)^{i.z}
     idx = np.arange(d)
-    par = _parity_table(n)
-    rho = np.zeros((d, d), dtype=complex)
-    scale = 1.0 / d
-    for mask, (phase, x, z) in enumerate(_basis_pauli_table(n)):
-        c = coeffs[mask]
-        if c == 0:
-            continue
-        signs = 1.0 - 2.0 * par[idx & z]
-        rho[idx ^ x, idx] += scale * c * phase * signs
+    rho = np.empty((d, d), dtype=complex)
+    rho[idx[None, :] ^ idx[:, None], idx[None, :]] = b
     return rho
 
 

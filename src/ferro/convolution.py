@@ -1,15 +1,18 @@
 """The fermionic beam splitter W_theta and the convolution channel.
 
-Two engines: the dense channel Tr_2[W (rho ox sigma) W^dag] on 2n qubits,
-and the cumulant-domain route through the contraction duality
-Psi_out = xi_cos Psi_rho + xi_sin Psi_sigma.  The dense route is the oracle
-for the fast one and is limited to small n by the 4^n x 4^n beam splitter.
+There is one engine.  For even states the channel
+Tr_2[W_theta (rho ox sigma) W_theta^dag] is a product in the moment domain,
+Xi_out(eta) = Xi_rho(cos(theta) eta) * Xi_sigma(sin(theta) eta), so the
+output is one Grassmann product of two contracted moment polynomials; in the
+cumulant domain the same product is the sum
+Psi_out = xi_cos Psi_rho + xi_sin Psi_sigma.  conv_unitary builds the dense
+2n-qubit W_theta on request; no runtime path calls it.  It is the reference
+for the gate compiler's netlists and the test oracle of the channel.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
@@ -19,24 +22,17 @@ from .grassmann import GrassmannPoly
 DEFAULT_THETA = math.pi / 4
 
 
-@lru_cache(maxsize=8)
-def _conv_unitary_cached(theta: float, n: int):
-    h = np.zeros((4 * n, 4 * n))
-    for j in range(2 * n):
-        h[j, 2 * n + j] = theta / 2.0
-        h[2 * n + j, j] = -theta / 2.0
-    u, r = gaussian.gaussian_unitary(h, 2 * n)
-    u.setflags(write=False)
-    return u
-
-
 def conv_unitary(theta: float, n: int) -> np.ndarray:
     """W_theta = exp((theta/2) sum_j gamma_j gamma_{2n+j}) on 2n qubits.
 
     Satisfies W gamma_j W^dag = cos(theta) gamma_j - sin(theta) gamma_{2n+j}
     and W gamma_{2n+j} W^dag = sin(theta) gamma_j + cos(theta) gamma_{2n+j}.
     """
-    return _conv_unitary_cached(float(theta), n)
+    h = np.zeros((4 * n, 4 * n))
+    for j in range(2 * n):
+        h[j, 2 * n + j] = theta / 2.0
+        h[2 * n + j, j] = -theta / 2.0
+    return gaussian.gaussian_unitary(h, 2 * n)[0]
 
 
 def _check_even_state(rho: np.ndarray, check: bool) -> None:
@@ -53,23 +49,18 @@ def convolve(rho: np.ndarray, sigma: np.ndarray, theta: float = DEFAULT_THETA,
         raise ValueError("states live on different mode counts")
     _check_even_state(rho, check)
     _check_even_state(sigma, check)
-    n = clifford.num_qubits(rho)
-    w = conv_unitary(theta, n)
-    joint = w @ np.kron(rho, sigma) @ w.conj().T
-    return clifford.partial_trace_second(joint)
+    xi_rho = grassmann.contract(grassmann.fourier(rho, check=False), math.cos(theta))
+    xi_sigma = grassmann.contract(grassmann.fourier(sigma, check=False), math.sin(theta))
+    return grassmann.inverse_fourier(grassmann.g_mul(xi_rho, xi_sigma))
 
 
 def complementary_convolve(rho: np.ndarray, sigma: np.ndarray,
                            theta: float = DEFAULT_THETA, check: bool = True) -> np.ndarray:
-    """The complementary channel Tr_1[W_theta (rho ox sigma) W_theta^dag]."""
-    if rho.shape != sigma.shape:
-        raise ValueError("states live on different mode counts")
-    _check_even_state(rho, check)
-    _check_even_state(sigma, check)
-    n = clifford.num_qubits(rho)
-    w = conv_unitary(theta, n)
-    joint = w @ np.kron(rho, sigma) @ w.conj().T
-    return clifford.partial_trace_first(joint)
+    """The complementary channel Tr_1[W_theta (rho ox sigma) W_theta^dag].
+
+    It equals convolve(rho, sigma, pi/2 - theta).
+    """
+    return convolve(rho, sigma, math.pi / 2 - theta, check)
 
 
 def convolve_cumulant(psi_rho: GrassmannPoly, psi_sigma: GrassmannPoly,

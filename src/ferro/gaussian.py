@@ -1,6 +1,7 @@
 """Covariance matrices, Pfaffians, Wick synthesis of Gaussian states, Gaussification.
 
-Gaussian states are synthesized through Wick moment sums rather than
+Gaussian states are synthesized from their moment polynomial, the Grassmann
+exponential of the covariance form, rather than from
 exp(i/2 gamma^T h gamma): the quadratic-Hamiltonian parameterization
 degenerates for pure states (nu -> inf) while the Wick route is exact at
 |lambda| = 1.
@@ -13,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import clifford
-from .grassmann import popcounts
+from . import clifford, grassmann
 
 EPS_ANTISYM = 1e-10
 EPS_CONTRACT = 1e-9
@@ -30,16 +30,12 @@ def _check_antisymmetric(m: np.ndarray, eps: float = EPS_ANTISYM) -> None:
 def covariance(rho: np.ndarray, check: bool = True) -> np.ndarray:
     """Covariance matrix Sigma_jk = (i/2) Tr(rho [gamma_j, gamma_k])."""
     n = clifford.num_qubits(rho)
-    if check:
-        clifford.assert_state(rho)
+    mom = clifford.moments(rho, check=check)
+    j, k = np.triu_indices(2 * n, 1)
     sigma = np.zeros((2 * n, 2 * n))
-    for j in range(2 * n):
-        for k in range(j + 1, 2 * n):
-            # for j != k: Sigma_jk = -i Tr((gamma_j gamma_k)^dag rho)
-            val = -1j * clifford.single_moment(rho, (1 << j) | (1 << k))
-            sigma[j, k] = val.real
-            sigma[k, j] = -val.real
-    return sigma
+    # for j != k: Sigma_jk = -i Tr((gamma_j gamma_k)^dag rho)
+    sigma[j, k] = np.real(-1j * mom[(1 << j) | (1 << k)])
+    return sigma - sigma.T
 
 
 @dataclass(frozen=True)
@@ -143,25 +139,21 @@ def pfaffian(m: np.ndarray) -> float:
 
 
 def gaussian_from_covariance(sigma: np.ndarray) -> np.ndarray:
-    """Gaussian state with the given covariance via the Wick moment sum.
+    """Gaussian state with the given covariance: moments exp(i sum_{j<k} Sigma_jk eta_j eta_k).
 
-    Moments are rho_J = i^{|J|/2} Pf(Sigma_|J) for even J; without the
-    i^{|J|/2} phase the sum is not a Hermitian operator in this convention.
+    The exponential expands into the Wick sum rho_J = i^{|J|/2} Pf(Sigma_|J)
+    for even J; without the i^{|J|/2} phase the sum is not a Hermitian
+    operator in this convention.
     """
     _check_antisymmetric(sigma)
     n = sigma.shape[0] // 2
     ev = np.linalg.eigvalsh(sigma.T @ sigma)
     if ev.max() > 1.0 + EPS_CONTRACT:
         raise ValueError("covariance violates Sigma^T Sigma <= I")
-    pc = popcounts(2 * n)
-    coeffs = np.zeros(1 << (2 * n), dtype=complex)
-    for mask in range(1 << (2 * n)):
-        k = pc[mask]
-        if k & 1:
-            continue
-        rows = [i for i in range(2 * n) if mask >> i & 1]
-        coeffs[mask] = (1j) ** (k // 2) * pfaffian(sigma[np.ix_(rows, rows)])
-    return clifford.from_moments(coeffs, n)
+    j, k = np.triu_indices(2 * n, 1)
+    quad = np.zeros(1 << (2 * n), dtype=complex)
+    quad[(1 << j) | (1 << k)] = 1j * sigma[j, k]
+    return grassmann.inverse_fourier(grassmann.g_exp(grassmann.GrassmannPoly(2 * n, quad)))
 
 
 def gaussification(rho: np.ndarray, check: bool = True) -> np.ndarray:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import clifford, convolution, grassmann, measures
+from . import clifford, convolution, measures
 
 EPS_TEST = 1e-7
 
@@ -88,24 +88,13 @@ def choi_state(u: np.ndarray) -> np.ndarray:
     return big @ rho_i @ big.conj().T
 
 
-def _choi_gaussian_dense(choi: np.ndarray, eps: float) -> bool:
-    res = gaussian_state_test(choi, eps=eps)
-    return res.is_gaussian
-
-
-def _choi_gaussian_cumulant(choi: np.ndarray, eps: float) -> bool:
-    # Gaussian iff all super-quadratic cumulants vanish
-    _, _, k_m, _ = measures.cumulant_weights(choi, check=False)
-    return bool(k_m <= eps)
-
-
 def gaussian_unitary_test(u: np.ndarray, engine: str = "auto",
                           eps: float = EPS_TEST) -> UnitaryTestResult:
     """U is Gaussian iff it is even and its Choi state is Gaussian.
 
-    engine: "dense" runs the three-copy swap protocol on the Choi state
-    (memory-bound, n <= 2); "cumulant" checks vanishing super-quadratic
-    cumulant mass of the Choi state instead; "auto" picks dense for n <= 2.
+    engine: "dense" runs the three-copy swap protocol on the Choi state;
+    "cumulant" checks vanishing super-quadratic cumulant mass of the Choi
+    state instead; "auto" picks dense for n <= 2.
     """
     clifford.assert_unitary(u)
     n = clifford.num_qubits(u)
@@ -117,11 +106,10 @@ def gaussian_unitary_test(u: np.ndarray, engine: str = "auto",
         return UnitaryTestResult(is_gaussian=False, reason="not-even", engine=engine)
     choi = choi_state(u)
     if engine == "dense":
-        if n > 2:
-            raise ValueError("dense engine limited to 2 modes; use engine='cumulant'")
-        ok = _choi_gaussian_dense(choi, eps)
+        ok = gaussian_state_test(choi, eps=eps).is_gaussian
     else:
-        ok = _choi_gaussian_cumulant(choi, eps)
+        # Gaussian iff all super-quadratic cumulants vanish
+        ok = measures.cumulant_weights(choi, check=False)[2] <= eps
     if not ok:
         return UnitaryTestResult(is_gaussian=False, reason="choi-not-gaussian", engine=engine)
     return UnitaryTestResult(is_gaussian=True, reason="", engine=engine)

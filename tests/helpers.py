@@ -3,7 +3,7 @@
 import numpy as np
 import scipy.linalg
 
-from ferro import clifford, gaussian
+from ferro import clifford, convolution, gaussian
 
 
 def random_state(rng, n):
@@ -67,3 +67,18 @@ def parity_block_unitary(rng, n=2):
         )[0]
         u[np.ix_(idx, idx)] = block
     return u
+
+
+def _dense_joint(rho, sigma, theta):
+    w = convolution.conv_unitary(theta, clifford.num_qubits(rho))
+    return w @ np.kron(rho, sigma) @ w.conj().T
+
+
+def dense_convolve(rho, sigma, theta=convolution.DEFAULT_THETA):
+    """Oracle channel Tr_2[W_theta (rho ox sigma) W_theta^dag] from the dense beam splitter."""
+    return clifford.partial_trace_second(_dense_joint(rho, sigma, theta))
+
+
+def dense_complementary(rho, sigma, theta=convolution.DEFAULT_THETA):
+    """Oracle complementary channel Tr_1[W_theta (rho ox sigma) W_theta^dag]."""
+    return clifford.partial_trace_first(_dense_joint(rho, sigma, theta))

@@ -6,6 +6,7 @@ import pytest
 from ferro import clifford, gaussian
 
 from helpers import random_even_state, random_state
+from oracles import compute_reference
 
 I2 = np.eye(2)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -71,7 +72,16 @@ def test_moments_maximally_mixed():
 
 def test_moment_of_ground_state():
     rho = np.diag([1.0, 0.0]).astype(complex)
-    assert abs(clifford.single_moment(rho, 0b11) - (-1j)) < 1e-12
+    assert abs(clifford.moments(rho)[0b11] - (-1j)) < 1e-12
+
+
+def test_moments_match_oracle(rng):
+    for n in (1, 2, 3):
+        rho = random_state(rng, n)
+        want = np.zeros(1 << (2 * n), dtype=complex)
+        for idx, val in compute_reference.moments_dict(rho, n).items():
+            want[sum(1 << (j - 1) for j in idx)] = val
+        assert np.abs(clifford.moments(rho) - want).max() < 1e-12
 
 
 def test_moment_parseval(rng):

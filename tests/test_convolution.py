@@ -2,10 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ferro import clifford, convolution, gaussian, grassmann
 
 from helpers import (
+    dense_complementary,
+    dense_convolve,
     random_even_state,
     random_gaussian_state,
     random_gaussian_unitary,
@@ -81,11 +85,27 @@ def test_entropy_inequality(rng):
         assert s_out >= 0.5 * clifford.entropy(rho) + 0.5 * clifford.entropy(sigma) - 1e-9
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.integers(1, 4),
+    theta=st.floats(1e-3, math.pi / 2 - 1e-3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_moment_channel_matches_dense(n, theta, seed):
+    rng = np.random.default_rng(seed)
+    rho = random_even_state(rng, n)
+    sigma = random_even_state(rng, n)
+    out = convolution.convolve(rho, sigma, theta)
+    assert np.abs(out - dense_convolve(rho, sigma, theta)).max() < 1e-12
+    comp = convolution.complementary_convolve(rho, sigma, theta)
+    assert np.abs(comp - dense_complementary(rho, sigma, theta)).max() < 1e-12
+
+
 def test_cumulant_engine_matches_dense(rng):
     for theta in (math.pi / 4, math.pi / 6):
         rho = random_even_state(rng, 2)
         sigma = random_even_state(rng, 2)
-        dense = convolution.convolve(rho, sigma, theta)
+        dense = dense_convolve(rho, sigma, theta)
         psi = convolution.convolve_cumulant(
             grassmann.cumulants(rho), grassmann.cumulants(sigma), theta
         )
@@ -104,8 +124,10 @@ def test_quadratic_cumulants_preserved_in_self_convolution(rng):
 def test_iterate_conv(rng):
     rho = random_even_state(rng, 2)
     assert convolution.iterate_conv(rho, 0) is rho
+    dense = rho
     for k in (1, 2, 3):
-        dense = convolution.iterate_conv(rho, k)
+        dense = dense_convolve(dense, dense)
+        assert np.abs(convolution.iterate_conv(rho, k) - dense).max() < 1e-9
         psi = convolution.iterate_conv(rho, k, mode="cumulant")
         back = grassmann.inverse_fourier(grassmann.g_exp(psi))
         assert np.abs(dense - back).max() < 1e-9

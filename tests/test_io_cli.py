@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import ferro
-from ferro import cli, io, states
+from ferro import cli, convolution, io, states
 
 
 def test_parse_vector_and_matrix(tmp_path):
@@ -161,3 +161,31 @@ def test_cli_import_loads_numpy_only():
     res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          timeout=120, check=True)
     assert res.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("command,modes", [("test-state", 6), ("clt", 6), ("test-unitary", 4)])
+def test_cli_rejects_too_large(tmp_path, capsys, command, modes):
+    """The largest accepted input runs; one mode more gives E_TOO_LARGE."""
+    def text(m):
+        d = 1 << m
+        a = np.eye(d, dtype=complex) if command == "test-unitary" else np.eye(d)[0].astype(complex)
+        return io.write_array(a)
+
+    argv = [command, "--out", str(tmp_path / "c.csv")] if command == "clt" else [command]
+    f = tmp_path / "max.txt"
+    f.write_text(text(modes))
+    assert cli.main([command, str(f), *argv[1:]]) == 0
+    capsys.readouterr()
+    _rejects(tmp_path, capsys, argv, text(modes + 1), "E_TOO_LARGE")
+
+
+def test_cli_runs_without_dense_beam_splitter(tmp_path, monkeypatch):
+    def refuse(theta, n):
+        raise AssertionError("the dense beam splitter is a test oracle only")
+
+    monkeypatch.setattr(convolution, "conv_unitary", refuse)
+    f = tmp_path / "psi.txt"
+    f.write_text(io.write_array(states.magic_state_vector(2.0)))
+    assert cli.main(["fig2", "--grid", "3", "--out", str(tmp_path / "f.csv")]) == 0
+    assert cli.main(["test-state", str(f)]) == 0
+    assert cli.main(["clt", str(f), "--engine", "dense", "--out", str(tmp_path / "c.csv")]) == 0

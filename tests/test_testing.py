@@ -16,6 +16,7 @@ CZ = np.diag([1, 1, 1, -1]).astype(complex)
 SWAP = np.array(
     [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
 )
+TOFFOLI = np.eye(8, dtype=complex)[[0, 1, 2, 3, 4, 5, 7, 6]]
 
 
 def test_state_test_accepts_computational_basis():
@@ -121,19 +122,23 @@ def test_unitary_test_cumulant_engine(rng):
     res = testing.gaussian_unitary_test(u, engine="cumulant")
     assert res.is_gaussian and res.engine == "cumulant"
     assert not testing.gaussian_unitary_test(CZ, engine="cumulant").is_gaussian
-    # Toffoli flips parity on |110>, so it fails the even test; its 3-qubit
-    # Choi state is out of dense reach and goes through the cumulant route
-    toffoli = np.eye(8, dtype=complex)
-    toffoli[[6, 7], [6, 7]] = 0.0
-    toffoli[6, 7] = toffoli[7, 6] = 1.0
-    res = testing.gaussian_unitary_test(toffoli)
+    # Toffoli flips parity on |110>, so it fails the even test; auto picks
+    # the cumulant engine above 2 modes
+    res = testing.gaussian_unitary_test(TOFFOLI)
     assert res.engine == "cumulant"
     assert not res.is_gaussian and res.reason == "not-even"
 
 
-def test_dense_engine_mode_limit():
-    with pytest.raises(ValueError):
-        testing.gaussian_unitary_test(np.eye(8, dtype=complex), engine="dense")
+def test_engines_agree_at_three_modes(rng):
+    corpus = [
+        (random_gaussian_unitary(rng, 3)[0], True, ""),
+        (parity_block_unitary(rng, 3), False, "choi-not-gaussian"),
+        (TOFFOLI, False, "not-even"),
+    ]
+    for u, gaussian_, reason in corpus:
+        for engine in ("dense", "cumulant"):
+            res = testing.gaussian_unitary_test(u, engine=engine)
+            assert (res.is_gaussian, res.reason, res.engine) == (gaussian_, reason, engine)
 
 
 def test_rejection_probability_identity(rng):
