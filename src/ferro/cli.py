@@ -167,26 +167,28 @@ def cmd_clt(args) -> int:
         raise CliError("E_KMAX_RANGE", f"{kmax} (engine {args.engine} allows <= {limit})")
     from . import gaussian, grassmann
 
+    # one cumulant polynomial serves every row's bound and cumulant-engine iterate
+    psi = grassmann.cumulants(rho, check=False)
+    _, k_g, k_m, _ = measures.polynomial_weights(psi)
     rows = []
     if args.engine == "dense":
         g = gaussian.gaussification(rho, check=False)
         cur = rho
         for k in range(kmax + 1):
             dist = clifford.l2_norm(cur - g)
-            rows.append([k, dist, measures.clt_bound(rho, k, check=False)])
+            rows.append([k, dist, measures.clt_bound_from_weights(k_g, k_m, k)])
             if k < kmax:
                 cur = convolution.convolve(cur, cur, check=False)
     else:
         # distances via moment-domain Parseval: ||rho - g||_2 = 2^-n sqrt(sum |diff|^2);
         # the limit G(rho) keeps the cumulants of degree <= 2
         n = clifford.num_qubits(rho)
-        psi = grassmann.cumulants(rho, check=False)
         low = grassmann.popcounts(psi.generators) <= 2
         g_mom = grassmann.g_exp(grassmann.GrassmannPoly(psi.generators, psi.coeffs * low))
         for k in range(kmax + 1):
-            mom_k = grassmann.g_exp(convolution.iterate_conv(rho, k, mode="cumulant", check=False))
+            mom_k = grassmann.g_exp(convolution.doubling_cumulants(psi, k))
             dist = grassmann.l2_norm(mom_k - g_mom) / (1 << n)
-            rows.append([k, dist, measures.clt_bound(rho, k, check=False)])
+            rows.append([k, dist, measures.clt_bound_from_weights(k_g, k_m, k)])
     io.write_csv(args.out, ["k", "distance", "bound"], rows)
     return 0
 

@@ -87,11 +87,15 @@ def iterate_conv(rho: np.ndarray, k: int, mode: str = "dense", check: bool = Tru
             check = False  # outputs of the channel stay even
         return out
     if mode == "cumulant":
-        psi = grassmann.cumulants(rho, check=check)
-        pc = grassmann.popcounts(psi.generators)
-        scale = np.power(2.0, k * (1.0 - pc / 2.0))
-        return GrassmannPoly(psi.generators, psi.coeffs * scale)
+        return doubling_cumulants(grassmann.cumulants(rho, check=check), k)
     raise ValueError(f"unknown mode {mode!r}")
+
+
+def doubling_cumulants(psi: GrassmannPoly, k: int) -> GrassmannPoly:
+    """Cumulants of the k-fold doubling iterate: kappa_J scaled by 2^{k(1 - |J|/2)}."""
+    pc = grassmann.popcounts(psi.generators)
+    scale = np.power(2.0, k * (1.0 - pc / 2.0))
+    return GrassmannPoly(psi.generators, psi.coeffs * scale)
 
 
 def iterate_conv_linear(rho: np.ndarray, m: int, check: bool = True) -> np.ndarray:

@@ -2,8 +2,11 @@
 
 A polynomial over 2n anticommuting generators is a dense complex array of
 length 4^n indexed by bitmask; bit j-1 set means generator eta_j appears.
-Products are computed by submask convolution with an inversion-count sign,
-vectorized in numpy over the free masks of each nonzero term of the left factor.
+Products split both factors on the top generator, p = p0 + p1 eta_m, so that
+pq = p0 q0 + (p0 q1 + p1 q0') eta_m with q0' the grade involution of q0. The
+three half-products recurse depth first into one output, are stacked into
+numpy batches once they are small, and end in a table of disjoint mask pairs
+with their inversion-count signs over at most six generators.
 """
 
 from __future__ import annotations
@@ -88,33 +91,109 @@ class GrassmannPoly:
         return bool(np.all(np.abs(self.coeffs[odd]) <= eps))
 
 
+# Sizes of the divide-and-conquer product. Polynomials over at most
+# _BASE_GENERATORS generators are multiplied from a table of disjoint pairs;
+# the three half-products of a level are stacked into one batch only while
+# they fit _SLAB complex entries, which keeps the base case's work in cache.
+_BASE_GENERATORS = 6
+_SLAB = 4096
+
+
+@lru_cache(maxsize=None)
+def _grade_sign(nbits: int) -> np.ndarray:
+    """(-1)^|K| for every mask K over nbits bits: the grade involution."""
+    out = 1.0 - 2.0 * (popcounts(nbits) & 1)
+    out.setflags(write=False)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _pair_table(nbits: int):
+    """Disjoint mask pairs (I, J) sorted by K = I|J, with eta_I eta_J = sign * eta_K.
+
+    Returns I, J, the sign, the sign times (-1)^|J| and the start of each K group.
+    """
+    masks = np.arange(1 << nbits, dtype=np.int64)
+    i, j = (m.ravel() for m in np.meshgrid(masks, masks, indexing="ij"))
+    keep = (i & j) == 0
+    order = np.argsort((i | j)[keep], kind="stable")
+    i, j = i[keep][order], j[keep][order]
+    # the sign counts the pairs (x in I, y in J) with x > y
+    par = popcounts(nbits) & 1
+    sign = np.ones(len(i))
+    for bit in range(nbits):
+        has = (i >> bit) & 1 == 1
+        sign[has] *= 1.0 - 2.0 * par[j[has] & ((1 << bit) - 1)]
+    table = (i, j, sign, sign * _grade_sign(nbits)[j], np.searchsorted(i | j, masks))
+    for arr in table:
+        arr.setflags(write=False)
+    return table
+
+
+def _mul_into(a: np.ndarray, b: np.ndarray, out: np.ndarray, inv: bool, s: float) -> None:
+    """out += s * a b' row by row; b' is b, or its grade involution when inv is set.
+
+    a, b and out have shape (rows, 2^k). With p = p0 + p1 eta_k and
+    q = q0 + q1 eta_k on the top generator, pq = p0 q0 + (p0 q1 + p1 q0') eta_k
+    where q0' is the grade involution of q0.
+    """
+    rows, size = a.shape
+    if size <= 1 << _BASE_GENERATORS:
+        i, j, sign, sign_inv, starts = _pair_table(size.bit_length() - 1)
+        terms = a[:, i]
+        terms *= b[:, j]
+        terms *= s * (sign_inv if inv else sign)
+        out += np.add.reduceat(terms, starts, axis=1)
+        return
+    h = size >> 1
+    a0, a1, b0, b1 = a[:, :h], a[:, h:], b[:, :h], b[:, h:]
+    if 3 * rows * h > _SLAB:
+        # depth first into the output's halves; the involution of b is b0' - b1' eta_k
+        _mul_into(a0, b0, out[:, :h], inv, s)
+        _mul_into(a0, b1, out[:, h:], inv, -s if inv else s)
+        _mul_into(a1, b0, out[:, h:], not inv, s)
+        return
+    g = _grade_sign(size.bit_length() - 2)
+    if inv:
+        right = np.concatenate([b0 * g, -(b1 * g), b0])
+    else:
+        right = np.concatenate([b0, b1, b0 * g])
+    half = np.zeros((3 * rows, h), dtype=complex)
+    _mul_into(np.concatenate([a0, a0, a1]), right, half, False, 1.0)
+    out[:, :h] += s * half[:rows]
+    out[:, h:] += s * (half[rows:2 * rows] + half[2 * rows:])
+
+
 def g_mul(p: GrassmannPoly, q: GrassmannPoly) -> GrassmannPoly:
     """Grassmann product; bilinear, with eta_a^2 = 0 and anticommuting generators."""
     p._check(q)
-    a, b = p.coeffs, q.coeffs
-    out = np.zeros_like(a)
-    par = popcounts(p.generators) & 1
-    masks = np.arange(len(out), dtype=np.int64)
-    for j in np.nonzero(a)[0]:
-        # eta_J eta_K = sign * eta_{J|K} for each K disjoint from J
-        free = masks[(masks & j) == 0]
-        sign = np.ones(len(free))
-        t = int(j)
-        while t:
-            low = t & (-t)
-            sign *= 1.0 - 2.0 * par[free & (low - 1)]
-            t ^= low
-        out[free | j] += a[j] * sign * b[free]
-    return GrassmannPoly(p.generators, out)
+    out = np.zeros((1, 1 << p.generators), dtype=complex)
+    a, b = (np.asarray(c, dtype=complex)[None] for c in (p.coeffs, q.coeffs))
+    _mul_into(a, b, out, False, 1.0)
+    return GrassmannPoly(p.generators, out[0])
+
+
+def _lowest_degree(p: GrassmannPoly) -> int | None:
+    """Lowest degree with a nonzero coefficient, or None for the zero polynomial."""
+    nz = np.flatnonzero(p.coeffs)
+    return int(popcounts(p.generators)[nz].min()) if len(nz) else None
 
 
 def g_exp(p: GrassmannPoly) -> GrassmannPoly:
-    """exp of a polynomial with zero constant term (nilpotent, series truncates)."""
+    """exp of a polynomial with zero constant term (nilpotent, series truncates).
+
+    p^k has no degree below k * d, d the lowest degree of p, so the series
+    stops once k * d exceeds the generator count.
+    """
     if p.coeffs[0] != 0:
         raise ValueError("g_exp needs a zero constant term")
     out = GrassmannPoly.one(p.generators)
-    term = GrassmannPoly.one(p.generators)
-    for k in range(1, p.generators + 1):
+    d = _lowest_degree(p)
+    if d is None:
+        return out
+    out = out + p
+    term = p
+    for k in range(2, p.generators // d + 1):
         term = g_mul(term, p) * (1.0 / k)
         if not term.coeffs.any():
             break
@@ -123,14 +202,20 @@ def g_exp(p: GrassmannPoly) -> GrassmannPoly:
 
 
 def g_log(p: GrassmannPoly) -> GrassmannPoly:
-    """log of a polynomial with unit constant term, via the truncated Mercator series."""
+    """log of a polynomial with unit constant term, via the truncated Mercator series.
+
+    The series in x = p - 1 stops once x^k must vanish, as in g_exp.
+    """
     if abs(p.coeffs[0] - 1.0) > 1e-9:
         raise ValueError("g_log needs a unit constant term")
     x = GrassmannPoly(p.generators, p.coeffs.copy())
     x.coeffs[0] = 0.0
-    out = GrassmannPoly.zero(p.generators)
-    power = GrassmannPoly.one(p.generators)
-    for k in range(1, p.generators + 1):
+    d = _lowest_degree(x)
+    if d is None:
+        return GrassmannPoly.zero(p.generators)
+    out = x
+    power = x
+    for k in range(2, p.generators // d + 1):
         power = g_mul(power, x)
         if not power.coeffs.any():
             break
@@ -142,42 +227,6 @@ def contract(p: GrassmannPoly, alpha: complex) -> GrassmannPoly:
     """Scale every generator by alpha: coefficient at J picks up alpha^|J|."""
     powers = np.power(complex(alpha), popcounts(p.generators))
     return GrassmannPoly(p.generators, p.coeffs * powers)
-
-
-def rotate_generators(p: GrassmannPoly, r: np.ndarray) -> GrassmannPoly:
-    """Substitute eta_j -> sum_k R_jk eta_k, degree by degree via minors of R."""
-    m = p.generators
-    if r.shape != (m, m):
-        raise ValueError("rotation dimension mismatch")
-    from itertools import combinations
-
-    pc = popcounts(m)
-    out = np.zeros_like(p.coeffs)
-    out[0] = p.coeffs[0]
-    for k in range(1, m + 1):
-        src = [mask for mask in range(1 << m) if pc[mask] == k and p.coeffs[mask] != 0]
-        if not src:
-            continue
-        for tgt_idx in combinations(range(m), k):
-            tgt_mask = sum(1 << i for i in tgt_idx)
-            acc = 0.0 + 0.0j
-            for mask in src:
-                rows = [i for i in range(m) if mask >> i & 1]
-                acc += p.coeffs[mask] * np.linalg.det(r[np.ix_(rows, tgt_idx)])
-            out[tgt_mask] = acc
-    return GrassmannPoly(m, out)
-
-
-def embed_disjoint(p: GrassmannPoly, q: GrassmannPoly) -> GrassmannPoly:
-    """p and q on disjoint generator blocks, p on the low bits, combined additively."""
-    m = p.generators + q.generators
-    out = np.zeros(1 << m, dtype=complex)
-    pm = np.nonzero(p.coeffs)[0]
-    out[pm] += p.coeffs[pm]
-    qm = np.nonzero(q.coeffs)[0]
-    out[qm << p.generators] += q.coeffs[qm]
-    out[0] = p.coeffs[0] + q.coeffs[0]
-    return GrassmannPoly(m, out)
 
 
 def fourier(rho: np.ndarray, check: bool = True) -> GrassmannPoly:

@@ -23,20 +23,23 @@ def moment_weights(rho: np.ndarray, check: bool = True):
 
 
 def cumulant_weights(rho: np.ndarray, check: bool = True):
-    """Cumulant weights (K list, K_G, K_M, K_total).
+    """Cumulant weights (K list, K_G, K_M, K_total) of a state; see polynomial_weights."""
+    return polynomial_weights(grassmann.cumulants(rho, check=check))
+
+
+def polynomial_weights(psi: grassmann.GrassmannPoly):
+    """Cumulant weights (K list, K_G, K_M, K_total) of a cumulant polynomial.
 
     K_j sums |kappa_J|^2 over degree-j indices; K_G = K_2, K_M is the
     super-quadratic mass, K_total = sum_j j K_j.
     """
-    n = clifford.num_qubits(rho)
-    psi = grassmann.cumulants(rho, check=check)
-    pc = grassmann.popcounts(2 * n)
-    k = np.zeros(2 * n + 1)
-    np.add.at(k, pc, np.abs(psi.coeffs) ** 2)
+    m = psi.generators
+    k = np.zeros(m + 1)
+    np.add.at(k, grassmann.popcounts(m), np.abs(psi.coeffs) ** 2)
     k[0] = 0.0  # constant term log 1 = 0; guard against rounding
-    k_g = float(k[2]) if 2 * n >= 2 else 0.0
+    k_g = float(k[2]) if m >= 2 else 0.0
     k_m = float(k[4:].sum())
-    k_total = float(np.dot(np.arange(2 * n + 1), k))
+    k_total = float(np.dot(np.arange(m + 1), k))
     return k, k_g, k_m, k_total
 
 
@@ -95,12 +98,17 @@ def ng_entropy_mixed(rho: np.ndarray, k: int = 1, check: bool = True) -> float:
 
 
 def clt_bound(rho: np.ndarray, k: int, variant: str = "doubling", check: bool = True) -> float:
-    """Convergence-rate bound on ||boxtimes^k rho - G(rho)||_2.
+    """Convergence-rate bound on ||boxtimes^k rho - G(rho)||_2; see clt_bound_from_weights."""
+    _, k_g, k_m, _ = cumulant_weights(rho, check=check)
+    return clt_bound_from_weights(k_g, k_m, k, variant)
+
+
+def clt_bound_from_weights(k_g: float, k_m: float, k: int, variant: str = "doubling") -> float:
+    """The clt_bound of a state with cumulant weights K_G and K_M.
 
     doubling: (sqrt(K_M)/2^k) exp(sqrt(K_G) + 2^-k sqrt(K_M));
     linear: the same with 2^k replaced by the copy count k.
     """
-    _, k_g, k_m, _ = cumulant_weights(rho, check=check)
     if k_m <= 0.0:
         return 0.0
     if variant == "doubling":

@@ -1,9 +1,11 @@
-"""Shared random-instance constructors for the test suite."""
+"""Shared random-instance constructors and reference operations for the test suite."""
+
+from itertools import combinations
 
 import numpy as np
 import scipy.linalg
 
-from ferro import clifford, convolution, gaussian
+from ferro import clifford, convolution, gaussian, grassmann
 
 
 def random_state(rng, n):
@@ -82,3 +84,37 @@ def dense_convolve(rho, sigma, theta=convolution.DEFAULT_THETA):
 def dense_complementary(rho, sigma, theta=convolution.DEFAULT_THETA):
     """Oracle complementary channel Tr_1[W_theta (rho ox sigma) W_theta^dag]."""
     return clifford.partial_trace_first(_dense_joint(rho, sigma, theta))
+
+
+def rotate_generators(p, r):
+    """Substitute eta_j -> sum_k R_jk eta_k, degree by degree via minors of R."""
+    m = p.generators
+    if r.shape != (m, m):
+        raise ValueError("rotation dimension mismatch")
+    pc = grassmann.popcounts(m)
+    out = np.zeros_like(p.coeffs)
+    out[0] = p.coeffs[0]
+    for k in range(1, m + 1):
+        src = [mask for mask in range(1 << m) if pc[mask] == k and p.coeffs[mask] != 0]
+        if not src:
+            continue
+        for tgt_idx in combinations(range(m), k):
+            tgt_mask = sum(1 << i for i in tgt_idx)
+            acc = 0.0 + 0.0j
+            for mask in src:
+                rows = [i for i in range(m) if mask >> i & 1]
+                acc += p.coeffs[mask] * np.linalg.det(r[np.ix_(rows, tgt_idx)])
+            out[tgt_mask] = acc
+    return grassmann.GrassmannPoly(m, out)
+
+
+def embed_disjoint(p, q):
+    """p and q on disjoint generator blocks, p on the low bits, combined additively."""
+    m = p.generators + q.generators
+    out = np.zeros(1 << m, dtype=complex)
+    pm = np.nonzero(p.coeffs)[0]
+    out[pm] += p.coeffs[pm]
+    qm = np.nonzero(q.coeffs)[0]
+    out[qm << p.generators] += q.coeffs[qm]
+    out[0] = p.coeffs[0] + q.coeffs[0]
+    return grassmann.GrassmannPoly(m, out)

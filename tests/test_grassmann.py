@@ -1,10 +1,21 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ferro import clifford, grassmann
 from ferro.grassmann import GrassmannPoly
+from oracles import compute_reference
 
-from helpers import random_even_state, random_gaussian_unitary, random_state
+from helpers import (
+    embed_disjoint,
+    random_even_state,
+    random_gaussian_unitary,
+    random_state,
+    rotate_generators,
+)
 
 
 def eta(generators, *indices):
@@ -97,7 +108,7 @@ def test_fourier_unitary_covariance(rng):
     rho = random_state(rng, n)
     u, r = random_gaussian_unitary(rng, n)
     lhs = grassmann.fourier(u @ rho @ u.conj().T, check=False)
-    rhs = grassmann.rotate_generators(grassmann.fourier(rho), r)
+    rhs = rotate_generators(grassmann.fourier(rho), r)
     assert np.abs(lhs.coeffs - rhs.coeffs).max() < 1e-9
 
 
@@ -121,6 +132,165 @@ def test_tensor_additivity(rng):
     ra = random_even_state(rng, 1)
     rb = random_even_state(rng, 2)
     joint = grassmann.cumulants(np.kron(ra, rb))
-    emb = grassmann.embed_disjoint(grassmann.cumulants(ra), grassmann.cumulants(rb))
+    emb = embed_disjoint(grassmann.cumulants(ra), grassmann.cumulants(rb))
     assert np.abs(joint.coeffs - emb.coeffs).max() < 1e-10
 
+
+def to_dict(p):
+    """Oracle form of a polynomial: sorted 1-based index tuples to coefficients."""
+    return {
+        tuple(j + 1 for j in range(p.generators) if mask >> j & 1): complex(c)
+        for mask, c in enumerate(p.coeffs)
+        if c != 0
+    }
+
+
+def from_dict(d, generators):
+    coeffs = np.zeros(1 << generators, dtype=complex)
+    for key, c in d.items():
+        coeffs[sum(1 << (j - 1) for j in key)] += c
+    return GrassmannPoly(generators, coeffs)
+
+
+def assert_matches(p, d, tol=1e-12):
+    want = from_dict(d, p.generators).coeffs
+    assert np.abs(p.coeffs - want).max() <= tol * max(1.0, np.abs(want).max())
+
+
+def complex_array(rng, size):
+    return rng.normal(size=size) + 1j * rng.normal(size=size)
+
+
+@settings(max_examples=20, deadline=None)
+@given(gens=st.sampled_from([0, 2, 4, 6]), seed=st.integers(0, 2**32 - 1))
+def test_g_mul_matches_oracle_dense(gens, seed):
+    rng = np.random.default_rng(seed)
+    p, q = (GrassmannPoly(gens, complex_array(rng, 1 << gens)) for _ in range(2))
+    assert_matches(grassmann.g_mul(p, q), compute_reference.g_mul_dict(to_dict(p), to_dict(q)))
+
+
+def sparse_poly(rng, gens, terms, parity):
+    """At most `terms` random monomials; parity 0 even, 1 odd, None mixed."""
+    masks = rng.integers(0, 1 << gens, size=terms)
+    if parity is not None:
+        masks = masks[grassmann.popcounts(gens)[masks] % 2 == parity]
+    coeffs = np.zeros(1 << gens, dtype=complex)
+    coeffs[masks] = complex_array(rng, len(masks))
+    return GrassmannPoly(gens, coeffs)
+
+
+# 8-10 generators start in the batched regime, 12 and more recurse depth first
+# above it; every size ends in the pair-table base case
+@settings(max_examples=15, deadline=None)
+@given(
+    gens=st.sampled_from([8, 10, 12, 14, 16]),
+    terms=st.integers(1, 40),
+    parities=st.tuples(*[st.sampled_from([0, 1, None])] * 2),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_g_mul_matches_oracle_sparse(gens, terms, parities, seed):
+    rng = np.random.default_rng(seed)
+    p, q = (sparse_poly(rng, gens, terms, parity) for parity in parities)
+    assert_matches(grassmann.g_mul(p, q), compute_reference.g_mul_dict(to_dict(p), to_dict(q)))
+
+
+def test_g_mul_zero(rng):
+    for gens in (2, 8, 14):
+        x = GrassmannPoly(gens, complex_array(rng, 1 << gens))
+        zero = GrassmannPoly.zero(gens)
+        assert not grassmann.g_mul(zero, x).coeffs.any()
+        assert not grassmann.g_mul(x, zero).coeffs.any()
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    gens=st.sampled_from([6, 8, 12, 16]),
+    low=st.sampled_from([2, 4]),
+    terms=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_g_log_matches_oracle(gens, low, terms, seed):
+    """Even 1 + x whose lowest degree is `low`, against the dict-based series."""
+    rng = np.random.default_rng(seed)
+    pc = grassmann.popcounts(gens)
+    lowest = np.flatnonzero(pc == low)
+    higher = np.flatnonzero((pc > low) & (pc % 2 == 0))
+    masks = np.concatenate([rng.choice(lowest, 1), rng.choice(higher, terms - 1)])
+    coeffs = np.zeros(1 << gens, dtype=complex)
+    coeffs[masks] = 0.5 * complex_array(rng, terms)
+    coeffs[0] = 1.0
+    p = GrassmannPoly(gens, coeffs)
+    assert_matches(grassmann.g_log(p), compute_reference.g_log_dict(to_dict(p), gens))
+
+
+def count_products(monkeypatch):
+    calls = []
+    g_mul = grassmann.g_mul
+
+    def counted(p, q):
+        calls.append(1)
+        return g_mul(p, q)
+
+    monkeypatch.setattr(grassmann, "g_mul", counted)
+    return calls
+
+
+def test_g_log_stops_at_the_nilpotency_degree(monkeypatch):
+    """x = sum_i eta_{2i-1} eta_{2i} has x^6 != 0 at 12 generators: 5 products, no more."""
+    gens = 12
+    x = GrassmannPoly.one(gens)
+    for i in range(gens // 2):
+        x.coeffs[0b11 << 2 * i] = 0.3 + 0.1j * i
+    calls = count_products(monkeypatch)
+    out = grassmann.g_log(x)
+    assert len(calls) == gens // 2 - 1
+    assert_matches(out, compute_reference.g_log_dict(to_dict(x), gens))
+
+
+def test_g_log_stops_at_a_zero_power(monkeypatch):
+    """x = eta_1 eta_2 + eta_1 eta_3 has x^2 = 0: one product, then the series ends."""
+    x = GrassmannPoly.one(16)
+    x.coeffs[0b011] = 0.4
+    x.coeffs[0b101] = -0.7j
+    calls = count_products(monkeypatch)
+    out = grassmann.g_log(x)
+    assert len(calls) == 1
+    assert_matches(out, compute_reference.g_log_dict(to_dict(x), 16))
+
+
+def g_exp_dict(q, nilpotency):
+    out, power = {(): 1.0}, {(): 1.0}
+    for k in range(1, nilpotency + 1):
+        power = {key: v / k for key, v in compute_reference.g_mul_dict(power, q).items()}
+        for key, v in power.items():
+            out[key] = out.get(key, 0.0) + v
+    return out
+
+
+def test_g_exp_zero_and_nilpotent_quadratic(rng, monkeypatch):
+    calls = count_products(monkeypatch)
+    one = grassmann.g_exp(GrassmannPoly.zero(8))
+    assert one.coeffs[0] == 1.0 and not one.coeffs[1:].any()
+    assert not calls
+    gens = 8
+    q = GrassmannPoly.zero(gens)
+    q.coeffs[grassmann.popcounts(gens) == 2] = complex_array(rng, 28)
+    assert_matches(grassmann.g_exp(q), g_exp_dict(to_dict(q), gens))
+    assert len(calls) == gens // 2 - 1
+
+
+def test_g_mul_memory_16_generators(rng):
+    """One dense 16-generator product stays within a few times its 1 MB output.
+
+    A product that stacks all 3^l sub-products of a level at once grows far past it.
+    """
+    gens = 16
+    p, q = (GrassmannPoly(gens, complex_array(rng, 1 << gens)) for _ in range(2))
+    grassmann.g_mul(p, q)  # fills the kernel's cached tables
+    tracemalloc.start()
+    try:
+        grassmann.g_mul(p, q)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6e6

@@ -189,3 +189,23 @@ def test_cli_runs_without_dense_beam_splitter(tmp_path, monkeypatch):
     assert cli.main(["fig2", "--grid", "3", "--out", str(tmp_path / "f.csv")]) == 0
     assert cli.main(["test-state", str(f)]) == 0
     assert cli.main(["clt", str(f), "--engine", "dense", "--out", str(tmp_path / "c.csv")]) == 0
+
+
+@pytest.mark.parametrize("engine", ["dense", "cumulant"])
+def test_clt_computes_cumulants_once(tmp_path, monkeypatch, engine):
+    from ferro import grassmann
+
+    calls = []
+    cumulants = grassmann.cumulants
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return cumulants(*args, **kwargs)
+
+    monkeypatch.setattr(grassmann, "cumulants", counted)
+    f = tmp_path / "psi.txt"
+    f.write_text(io.write_array(states.magic_state_vector(2.0)))
+    out = tmp_path / "c.csv"
+    assert cli.main(["clt", str(f), "--kmax", "4", "--engine", engine, "--out", str(out)]) == 0
+    assert len(calls) == 1
+    assert len(out.read_text().splitlines()) == 6
