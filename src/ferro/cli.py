@@ -16,9 +16,11 @@ from . import circuits, clifford, convolution, io, measures, states, testing
 
 
 # largest inputs the commands accept: a state's moment table has 4^n
-# entries, and the Choi state of an n-mode unitary lives on 2n modes
+# entries; the covariance engine conjugates 2n Majoranas by a 2^n x 2^n
+# unitary, while the dense engine's Choi state lives on 2n modes
 MAX_STATE_MODES = 6
-MAX_UNITARY_MODES = 4
+MAX_UNITARY_MODES = 8
+MAX_DENSE_UNITARY_MODES = 4
 
 
 class CliError(Exception):
@@ -137,7 +139,7 @@ def cmd_test_unitary(args) -> int:
     arr, kind = _load(args.unitaryfile)
     if kind != "matrix":
         raise CliError("E_EXPECTED_MATRIX", args.unitaryfile)
-    _check_modes(arr, MAX_UNITARY_MODES)
+    _check_modes(arr, MAX_DENSE_UNITARY_MODES if args.engine == "dense" else MAX_UNITARY_MODES)
     try:
         clifford.assert_unitary(arr)
     except ValueError as e:
@@ -147,7 +149,9 @@ def cmd_test_unitary(args) -> int:
     print(f"verdict: {'gaussian' if res.is_gaussian else 'non-gaussian'}")
     if res.reason:
         print(f"reason: {res.reason}")
-    print(f"csv,gaussian={int(res.is_gaussian)},reason={res.reason},engine={res.engine}")
+    margin = "" if res.margin is None else io.fmt(res.margin)
+    print(f"csv,gaussian={int(res.is_gaussian)},reason={res.reason},engine={res.engine},"
+          f"margin={margin}")
     return 0
 
 

@@ -1,7 +1,9 @@
-"""Protocol layer: swap-test Gaussianity checks for states and unitaries.
+"""Protocol layer: Gaussianity checks for states and unitaries.
 
 Swap tests are evaluated analytically (p = (1 + Tr rho sigma)/2); finite-shot
-sampling is out of scope.
+sampling is out of scope.  The paper's unitary protocol tests the Choi state
+with the three-copy swap test; the default unitary engine reads the Choi
+state's covariance instead, computed from U without building the Choi state.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import clifford, convolution, measures
+from . import clifford, convolution, grassmann, measures
 
 EPS_TEST = 1e-7
 
@@ -27,6 +29,10 @@ class UnitaryTestResult:
     is_gaussian: bool
     reason: str  # "", "not-even" or "choi-not-gaussian"
     engine: str
+    # distance from the Gaussian verdict, Gaussian iff margin <= eps: the
+    # covariance defect max_j (1 - sum_k R_jk^2) for "cumulant", 1 - p_accept
+    # for "dense", None when the not-even check decides
+    margin: float | None = None
 
 
 def gaussian_state_test(psi: np.ndarray, eps: float = EPS_TEST) -> StateTestResult:
@@ -70,13 +76,18 @@ def even_unitary_test(u: np.ndarray, eps: float = clifford.EPS_EVEN) -> bool:
 
 
 def max_entangled_fermionic(n: int) -> np.ndarray:
-    """rho_I = 2^{-2n} prod_j (1 + i gamma_j gamma_{2n+j}) on 2n qubits."""
-    d = 1 << (2 * n)
-    rho = np.eye(d, dtype=complex)
-    for j in range(1, 2 * n + 1):
-        g = clifford.majorana(j, 2 * n) @ clifford.majorana(2 * n + j, 2 * n)
-        rho = rho @ (np.eye(d) + 1j * g)
-    return rho / d
+    """rho_I = 2^{-2n} prod_j (1 + i gamma_j gamma_{2n+j}) on 2n qubits.
+
+    Expanding the product, each subset S of the 2n pairs gives the moment of
+    gamma_{S | S << 2n}: i^|S| times the sign (-1)^{|S|(|S|-1)/2} of moving
+    every gamma_{2n+j} behind all the gamma_j, which is 1 for even |S| and i
+    for odd |S|.
+    """
+    m = 2 * n
+    s = np.arange(1 << m)
+    c = np.zeros(1 << (2 * m), dtype=complex)
+    c[s | (s << m)] = np.where(grassmann.popcounts(m) % 2, 1j, 1.0)
+    return clifford.from_moments(c, m)
 
 
 def choi_state(u: np.ndarray) -> np.ndarray:
@@ -88,13 +99,30 @@ def choi_state(u: np.ndarray) -> np.ndarray:
     return big @ rho_i @ big.conj().T
 
 
+def choi_covariance_block(u: np.ndarray) -> np.ndarray:
+    """R_jk = 2^-n Tr(gamma_k U gamma_j U^dag): U gamma_j U^dag projected on the gamma_k.
+
+    R is the block of the Choi state's covariance that pairs the two halves
+    (covariance(choi_state(u))[2n:, :2n] = -R), read off U directly.
+    """
+    n = clifford.num_qubits(u)
+    g = np.stack([clifford.majorana(j, n) for j in range(1, 2 * n + 1)])
+    ugu = u @ g @ u.conj().T
+    return np.einsum("kab,jba->jk", g, ugu).real / (1 << n)
+
+
 def gaussian_unitary_test(u: np.ndarray, engine: str = "auto",
                           eps: float = EPS_TEST) -> UnitaryTestResult:
     """U is Gaussian iff it is even and its Choi state is Gaussian.
 
-    engine: "dense" runs the three-copy swap protocol on the Choi state;
-    "cumulant" checks vanishing super-quadratic cumulant mass of the Choi
-    state instead; "auto" picks dense for n <= 2.
+    engine: "dense" runs the paper's three-copy swap protocol on the Choi
+    state.  "cumulant" reads the Choi state's degree-2 cumulants, the block
+    R of choi_covariance_block: the Choi state is pure, and a pure state is
+    Gaussian iff its covariance is orthogonal (Bravyi, quant-ph/0404180),
+    i.e. iff every U gamma_j U^dag lies in span{gamma_k} (Jozsa & Miyake,
+    arXiv:0804.4050), i.e. iff every row of R has unit norm.  "auto" picks
+    dense for n <= 2.  Odd unitaries such as gamma_1 also map the gamma_j
+    into their span, so the even check comes first.
     """
     clifford.assert_unitary(u)
     n = clifford.num_qubits(u)
@@ -104,12 +132,12 @@ def gaussian_unitary_test(u: np.ndarray, engine: str = "auto",
         raise ValueError(f"unknown engine {engine!r}")
     if not even_unitary_test(u):
         return UnitaryTestResult(is_gaussian=False, reason="not-even", engine=engine)
-    choi = choi_state(u)
     if engine == "dense":
-        ok = gaussian_state_test(choi, eps=eps).is_gaussian
+        res = gaussian_state_test(choi_state(u), eps=eps)
+        ok, margin = res.is_gaussian, 1.0 - res.p_accept
     else:
-        # Gaussian iff all super-quadratic cumulants vanish
-        ok = measures.cumulant_weights(choi, check=False)[2] <= eps
-    if not ok:
-        return UnitaryTestResult(is_gaussian=False, reason="choi-not-gaussian", engine=engine)
-    return UnitaryTestResult(is_gaussian=True, reason="", engine=engine)
+        r = choi_covariance_block(u)
+        margin = float(np.max(1.0 - np.sum(r * r, axis=1)))
+        ok = margin <= eps
+    return UnitaryTestResult(is_gaussian=ok, reason="" if ok else "choi-not-gaussian",
+                             engine=engine, margin=margin)

@@ -1,11 +1,12 @@
 """Shared random-instance constructors and reference operations for the test suite."""
 
+import math
 from itertools import combinations
 
 import numpy as np
 import scipy.linalg
 
-from ferro import clifford, convolution, gaussian, grassmann
+from ferro import clifford, convolution, gaussian, grassmann, measures, testing
 
 
 def random_state(rng, n):
@@ -69,6 +70,31 @@ def parity_block_unitary(rng, n=2):
         )[0]
         u[np.ix_(idx, idx)] = block
     return u
+
+
+def quartic_unitary(n, t):
+    """exp(i t gamma_1 gamma_2 gamma_3 gamma_4): even, and Gaussian iff sin(2t) = 0.
+
+    It maps gamma_1 to gamma_1 (cos 2t - i sin 2t gamma_1 gamma_2 gamma_3 gamma_4),
+    whose weight outside span{gamma_k} is sin^2(2t).
+    """
+    q = clifford.majorana_product(0b1111, n)
+    return math.cos(t) * np.eye(1 << n) + 1j * math.sin(t) * q
+
+
+def max_entangled_product(n):
+    """Oracle rho_I = 2^{-2n} prod_j (1 + i gamma_j gamma_{2n+j}), multiplied out densely."""
+    d = 1 << (2 * n)
+    rho = np.eye(d, dtype=complex)
+    for j in range(1, 2 * n + 1):
+        g = clifford.majorana(j, 2 * n) @ clifford.majorana(2 * n + j, 2 * n)
+        rho = rho @ (np.eye(d) + 1j * g)
+    return rho / d
+
+
+def choi_super_quadratic_mass(u):
+    """Oracle K_M of the Choi state: U is Gaussian iff it is even and this is ~0."""
+    return measures.cumulant_weights(testing.choi_state(u), check=False)[2]
 
 
 def _dense_joint(rho, sigma, theta):

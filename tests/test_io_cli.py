@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import ferro
-from ferro import cli, convolution, io, states
+from ferro import cli, clifford, convolution, io, states
 
 
 def test_parse_vector_and_matrix(tmp_path):
@@ -163,15 +163,20 @@ def test_cli_import_loads_numpy_only():
     assert res.stdout.strip() == "[]"
 
 
-@pytest.mark.parametrize("command,modes", [("test-state", 6), ("clt", 6), ("test-unitary", 4)])
+@pytest.mark.parametrize("command,modes", [
+    ("test-state", 6), ("clt", 6), ("test-unitary", 8),
+    pytest.param("test-unitary --engine dense", 4, id="test-unitary-dense-4"),
+])
 def test_cli_rejects_too_large(tmp_path, capsys, command, modes):
     """The largest accepted input runs; one mode more gives E_TOO_LARGE."""
+    command, *options = command.split()
+
     def text(m):
         d = 1 << m
         a = np.eye(d, dtype=complex) if command == "test-unitary" else np.eye(d)[0].astype(complex)
         return io.write_array(a)
 
-    argv = [command, "--out", str(tmp_path / "c.csv")] if command == "clt" else [command]
+    argv = [command, "--out", str(tmp_path / "c.csv")] if command == "clt" else [command, *options]
     f = tmp_path / "max.txt"
     f.write_text(text(modes))
     assert cli.main([command, str(f), *argv[1:]]) == 0
@@ -189,6 +194,40 @@ def test_cli_runs_without_dense_beam_splitter(tmp_path, monkeypatch):
     assert cli.main(["fig2", "--grid", "3", "--out", str(tmp_path / "f.csv")]) == 0
     assert cli.main(["test-state", str(f)]) == 0
     assert cli.main(["clt", str(f), "--engine", "dense", "--out", str(tmp_path / "c.csv")]) == 0
+
+
+def test_cli_unitary_verdict_skips_choi_state(tmp_path, monkeypatch, capsys):
+    """The covariance engine never builds the Choi state or its cumulants; dense still does."""
+    from ferro import grassmann, testing
+
+    from helpers import parity_block_unitary, random_gaussian_unitary
+
+    class ChoiRoute(Exception):
+        pass
+
+    def refuse(*args, **kwargs):
+        raise ChoiRoute
+
+    for name in ("cumulants", "g_log"):
+        monkeypatch.setattr(grassmann, name, refuse)
+    monkeypatch.setattr(testing, "choi_state", refuse)
+    rng = np.random.default_rng(7)
+    f = tmp_path / "u.txt"
+    for n in (3, 4):
+        gauss = random_gaussian_unitary(rng, n)[0]
+        corpus = [(gauss, "gaussian", None),
+                  (parity_block_unitary(rng, n), "non-gaussian", "choi-not-gaussian"),
+                  (clifford.majorana(1, n) @ gauss, "non-gaussian", "not-even")]
+        for u, verdict, reason in corpus:
+            f.write_text(io.write_array(u))
+            for argv in ([], ["--engine", "cumulant"]):
+                assert cli.main(["test-unitary", str(f), *argv]) == 0
+                out = capsys.readouterr().out
+                assert "engine: cumulant" in out and f"verdict: {verdict}\n" in out
+                assert (f"reason: {reason}" in out) if reason else ("reason:" not in out)
+    f.write_text(io.write_array(random_gaussian_unitary(rng, 2)[0]))
+    with pytest.raises(ChoiRoute):
+        cli.main(["test-unitary", str(f), "--engine", "dense"])
 
 
 @pytest.mark.parametrize("engine", ["dense", "cumulant"])

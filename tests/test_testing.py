@@ -2,11 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ferro import clifford, convolution, gaussian, states, testing
 
 from helpers import (
+    choi_super_quadratic_mass,
+    max_entangled_product,
     parity_block_unitary,
+    quartic_unitary,
     random_gaussian_state,
     random_gaussian_unitary,
     random_pure_even_state,
@@ -63,8 +68,9 @@ def test_even_unitary_test_ignores_global_phase():
 
 
 def test_max_entangled_state(rng):
-    for n in (1, 2):
+    for n in (1, 2, 3, 4):
         rho = testing.max_entangled_fermionic(n)
+        assert np.abs(rho - max_entangled_product(n)).max() < 1e-12
         assert abs(np.trace(rho) - 1.0) < 1e-12
         assert abs(np.real(np.trace(rho @ rho)) - 1.0) < 1e-12
         d = 1 << n
@@ -139,6 +145,49 @@ def test_engines_agree_at_three_modes(rng):
         for engine in ("dense", "cumulant"):
             res = testing.gaussian_unitary_test(u, engine=engine)
             assert (res.is_gaussian, res.reason, res.engine) == (gaussian_, reason, engine)
+            if reason == "not-even":
+                assert res.margin is None
+            else:
+                assert (res.margin <= testing.EPS_TEST) == gaussian_
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    n=st.integers(2, 3),
+    kind=st.sampled_from(["gaussian", "parity-block", "quartic"]),
+    # sin^2(2t) is 0 or >= 1e-2: the margin and K_M disagree only near eps
+    t=st.one_of(st.just(0.0),
+                st.floats(0.0, math.pi).filter(lambda t: math.sin(2 * t) ** 2 >= 1e-2)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_covariance_rule_matches_choi_cumulants(n, kind, t, seed):
+    """The covariance engine agrees with K_M of the Choi state, and R is its covariance block."""
+    rng = np.random.default_rng(seed)
+    if kind == "parity-block":
+        u = parity_block_unitary(rng, n)
+    else:
+        u = random_gaussian_unitary(rng, n)[0]
+        if kind == "quartic":
+            u = u @ quartic_unitary(n, t)
+    res = testing.gaussian_unitary_test(u, engine="cumulant")
+    oracle = testing.even_unitary_test(u) and choi_super_quadratic_mass(u) <= testing.EPS_TEST
+    assert res.is_gaussian == oracle
+    sig = gaussian.covariance(testing.choi_state(u), check=False)
+    assert np.abs(testing.choi_covariance_block(u) + sig[2 * n :, : 2 * n]).max() < 1e-12
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+def test_covariance_rule_closed_forms(rng, n):
+    u, r = random_gaussian_unitary(rng, n)
+    assert np.abs(testing.choi_covariance_block(u) - r).max() < 1e-12
+    res = testing.gaussian_unitary_test(u)
+    assert (res.is_gaussian, res.engine) == (True, "cumulant")
+    for t in (0.3, 1.0):
+        res = testing.gaussian_unitary_test(quartic_unitary(n, t))
+        assert abs(res.margin - math.sin(2 * t) ** 2) < 1e-12
+        assert not res.is_gaussian
+    res = testing.gaussian_unitary_test(parity_block_unitary(rng, n))
+    assert (res.is_gaussian, res.reason) == (False, "choi-not-gaussian")
 
 
 def test_rejection_probability_identity(rng):
