@@ -12,7 +12,7 @@ import sys
 
 import numpy as np
 
-from . import circuits, clifford, convolution, io, measures, states, testing
+from . import circuits, clifford, convolution, grassmann, io, measures, states, testing
 
 
 # largest inputs the commands accept: a state's moment table has 4^n
@@ -44,7 +44,7 @@ def cmd_fig2(args) -> int:
     def row(phi: float):
         psi = states.magic_state(phi)
         vals = measures.ng_entropies(psi, kmax)
-        vals.append(measures.ng_relative_entropy(psi, check=False))
+        vals.append(measures.ng_relative_entropy(psi))
         return [float(phi)] + [float(v) for v in vals]
 
     header = ["phi"] + [f"NG_k{k}" for k in range(1, kmax + 1)] + ["NG_inf"]
@@ -160,39 +160,29 @@ def cmd_clt(args) -> int:
     _check_modes(arr, MAX_STATE_MODES)
     rho = _density(arr, kind)
     try:
-        clifford.assert_state(rho)
-        if not clifford.is_even(rho):
-            raise ValueError("state is not even")
+        clifford.assert_even_state(rho)
     except ValueError as e:
         raise CliError("E_NOT_EVEN_STATE", str(e)) from None
     kmax = args.kmax
     limit = 6 if args.engine == "cumulant" else 4
     if not 0 <= kmax <= limit:
         raise CliError("E_KMAX_RANGE", f"{kmax} (engine {args.engine} allows <= {limit})")
-    from . import gaussian, grassmann
-
-    # one cumulant polynomial serves every row's bound and cumulant-engine iterate
-    psi = grassmann.cumulants(rho, check=False)
+    # one cumulant polynomial serves every row's bound and the limit G(rho),
+    # which keeps the cumulants of degree <= 2; distances by moment-domain
+    # Parseval, ||rho - g||_2 = 2^-n sqrt(sum_J |rho_J - g_J|^2)
+    psi = grassmann.cumulants(rho)
     _, k_g, k_m, _ = measures.polynomial_weights(psi)
+    low = clifford.popcounts(psi.generators) <= 2
+    g_mom = grassmann.g_exp(grassmann.GrassmannPoly(psi.generators, psi.coeffs * low))
+    xi = grassmann.fourier(rho)
     rows = []
-    if args.engine == "dense":
-        g = gaussian.gaussification(rho, check=False)
-        cur = rho
-        for k in range(kmax + 1):
-            dist = clifford.l2_norm(cur - g)
-            rows.append([k, dist, measures.clt_bound_from_weights(k_g, k_m, k)])
-            if k < kmax:
-                cur = convolution.convolve(cur, cur, check=False)
-    else:
-        # distances via moment-domain Parseval: ||rho - g||_2 = 2^-n sqrt(sum |diff|^2);
-        # the limit G(rho) keeps the cumulants of degree <= 2
-        n = clifford.num_qubits(rho)
-        low = grassmann.popcounts(psi.generators) <= 2
-        g_mom = grassmann.g_exp(grassmann.GrassmannPoly(psi.generators, psi.coeffs * low))
-        for k in range(kmax + 1):
-            mom_k = grassmann.g_exp(convolution.doubling_cumulants(psi, k))
-            dist = grassmann.l2_norm(mom_k - g_mom) / (1 << n)
-            rows.append([k, dist, measures.clt_bound_from_weights(k_g, k_m, k)])
+    for k in range(kmax + 1):
+        if k:
+            # the dense engine iterates the channel, the cumulant engine rescales the cumulants
+            xi = (convolution.convolve_moments(xi, xi) if args.engine == "dense"
+                  else grassmann.g_exp(convolution.doubling_cumulants(psi, k)))
+        dist = grassmann.l2_norm(xi - g_mom) / rho.shape[0]
+        rows.append([k, dist, measures.clt_bound_from_weights(k_g, k_m, k)])
     io.write_csv(args.out, ["k", "distance", "bound"], rows)
     return 0
 
@@ -238,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     tu = sub.add_parser("test-unitary", help="Gaussianity test for a unitary file")
     tu.add_argument("unitaryfile")
-    tu.add_argument("--engine", choices=("auto", "dense", "cumulant"), default="auto")
+    tu.add_argument("--engine", choices=("dense", "cumulant"), default="cumulant")
     tu.set_defaults(fn=cmd_test_unitary)
 
     c = sub.add_parser("clt", help="convergence distances and bounds")

@@ -42,6 +42,13 @@ def assert_state(rho: np.ndarray, eps: float = EPS_PSD) -> None:
         raise ValueError("state has a negative eigenvalue beyond tolerance")
 
 
+def assert_even_state(rho: np.ndarray) -> None:
+    """assert_state, then raise ValueError unless rho commutes with the parity operator."""
+    assert_state(rho)
+    if not is_even(rho):
+        raise ValueError("state is not even")
+
+
 def assert_unitary(u: np.ndarray, eps: float = EPS_UNITARY) -> None:
     n = num_qubits(u)
     if not np.isfinite(u).all():
@@ -72,13 +79,15 @@ def _majorana_pauli(j: int, n: int):
 
 
 @lru_cache(maxsize=None)
-def _parity_table(n: int) -> np.ndarray:
-    c = np.arange(1 << n, dtype=np.int64)
-    par = np.zeros(1 << n, dtype=np.int8)
-    while c.any():
-        par ^= (c & 1).astype(np.int8)
-        c >>= 1
-    return par
+def popcounts(nbits: int) -> np.ndarray:
+    """Popcount of every mask over nbits bits; its parity is popcounts(nbits) & 1."""
+    masks = np.arange(1 << nbits, dtype=np.int64)
+    out = np.zeros(1 << nbits, dtype=np.int64)
+    while masks.any():
+        out += masks & 1
+        masks >>= 1
+    out.setflags(write=False)
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -88,7 +97,7 @@ def _basis_paulis(n: int):
     Built by doubling: the masks with highest Majorana index j are those
     below 2^(j-1) times gamma_j, and X^a Z^b X^c Z^e = (-1)^{b.c} X^{a^c} Z^{b^e}.
     """
-    par = _parity_table(n)
+    par = popcounts(n) & 1
     phase = np.ones(1, dtype=complex)
     x = np.zeros(1, dtype=np.int64)
     z = np.zeros(1, dtype=np.int64)
@@ -112,8 +121,9 @@ def _moment_transform(n: int):
     """
     phase, x, z = _basis_paulis(n)
     idx = np.arange(1 << n)
-    had = 1.0 - 2.0 * _parity_table(n)[idx[:, None] & idx[None, :]]
-    sign = np.conj(phase) * (1.0 - 2.0 * _parity_table(n)[x & z])
+    par = popcounts(n) & 1
+    had = 1.0 - 2.0 * par[idx[:, None] & idx[None, :]]
+    sign = np.conj(phase) * (1.0 - 2.0 * par[x & z])
     for a in (had, sign):
         a.setflags(write=False)
     return had, sign
@@ -122,7 +132,7 @@ def _moment_transform(n: int):
 def _pauli_matrix(phase: complex, x: int, z: int, n: int) -> np.ndarray:
     d = 1 << n
     idx = np.arange(d)
-    signs = 1.0 - 2.0 * _parity_table(n)[idx & z]
+    signs = 1.0 - 2.0 * (popcounts(n)[idx & z] & 1)
     m = np.zeros((d, d), dtype=complex)
     m[idx ^ x, idx] = phase * signs
     return m
@@ -150,15 +160,13 @@ def majorana_product(mask: int, n: int) -> np.ndarray:
 
 def parity_operator(n: int) -> np.ndarray:
     """Z^{(x)n}, proportional to the full Majorana product."""
-    d = 1 << n
-    return np.diag(1.0 - 2.0 * _parity_table(n)[np.arange(d)]).astype(complex)
+    return np.diag(1.0 - 2.0 * (popcounts(n) & 1)).astype(complex)
 
 
-def moments(rho: np.ndarray, check: bool = True) -> np.ndarray:
-    """All 4^n Majorana moments Tr(gamma_J^dag rho), indexed by mask."""
+def moments(rho: np.ndarray) -> np.ndarray:
+    """All 4^n Majorana moments Tr(gamma_J^dag rho) of a state, indexed by mask."""
     n = num_qubits(rho)
-    if check:
-        assert_state(rho)
+    assert_state(rho)
     _, x, z = _basis_paulis(n)
     had, sign = _moment_transform(n)
     idx = np.arange(1 << n)

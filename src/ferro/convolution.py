@@ -3,9 +3,11 @@
 There is one engine.  For even states the channel
 Tr_2[W_theta (rho ox sigma) W_theta^dag] is a product in the moment domain,
 Xi_out(eta) = Xi_rho(cos(theta) eta) * Xi_sigma(sin(theta) eta), so the
-output is one Grassmann product of two contracted moment polynomials; in the
-cumulant domain the same product is the sum
-Psi_out = xi_cos Psi_rho + xi_sin Psi_sigma.  conv_unitary builds the dense
+output is one Grassmann product of two contracted moment polynomials
+(convolve_moments); in the cumulant domain the same product is the sum
+Psi_out = xi_cos Psi_rho + xi_sin Psi_sigma.  States are validated once, on
+entry; iterated convolutions stay moment polynomials until the last
+iterate.  conv_unitary builds the dense
 2n-qubit W_theta on request; no runtime path calls it.  It is the reference
 for the gate compiler's netlists and the test oracle of the channel.
 """
@@ -35,32 +37,30 @@ def conv_unitary(theta: float, n: int) -> np.ndarray:
     return gaussian.gaussian_unitary(h, 2 * n)[0]
 
 
-def _check_even_state(rho: np.ndarray, check: bool) -> None:
-    if check:
-        clifford.assert_state(rho)
-        if not clifford.is_even(rho):
-            raise ValueError("convolution is defined for even states only")
+def convolve_moments(xi_rho: GrassmannPoly, xi_sigma: GrassmannPoly,
+                     theta: float = DEFAULT_THETA) -> GrassmannPoly:
+    """Moment-domain convolution: Xi_out(eta) = Xi_rho(cos(theta) eta) Xi_sigma(sin(theta) eta)."""
+    return grassmann.g_mul(grassmann.contract(xi_rho, math.cos(theta)),
+                           grassmann.contract(xi_sigma, math.sin(theta)))
 
 
-def convolve(rho: np.ndarray, sigma: np.ndarray, theta: float = DEFAULT_THETA,
-             check: bool = True) -> np.ndarray:
-    """rho boxtimes_theta sigma = Tr_2[W_theta (rho ox sigma) W_theta^dag]."""
+def convolve(rho: np.ndarray, sigma: np.ndarray, theta: float = DEFAULT_THETA) -> np.ndarray:
+    """rho boxtimes_theta sigma = Tr_2[W_theta (rho ox sigma) W_theta^dag] of two even states."""
     if rho.shape != sigma.shape:
         raise ValueError("states live on different mode counts")
-    _check_even_state(rho, check)
-    _check_even_state(sigma, check)
-    xi_rho = grassmann.contract(grassmann.fourier(rho, check=False), math.cos(theta))
-    xi_sigma = grassmann.contract(grassmann.fourier(sigma, check=False), math.sin(theta))
-    return grassmann.inverse_fourier(grassmann.g_mul(xi_rho, xi_sigma))
+    clifford.assert_even_state(rho)
+    clifford.assert_even_state(sigma)
+    xi = convolve_moments(grassmann.fourier(rho), grassmann.fourier(sigma), theta)
+    return grassmann.inverse_fourier(xi)
 
 
 def complementary_convolve(rho: np.ndarray, sigma: np.ndarray,
-                           theta: float = DEFAULT_THETA, check: bool = True) -> np.ndarray:
+                           theta: float = DEFAULT_THETA) -> np.ndarray:
     """The complementary channel Tr_1[W_theta (rho ox sigma) W_theta^dag].
 
     It equals convolve(rho, sigma, pi/2 - theta).
     """
-    return convolve(rho, sigma, math.pi / 2 - theta, check)
+    return convolve(rho, sigma, math.pi / 2 - theta)
 
 
 def convolve_cumulant(psi_rho: GrassmannPoly, psi_sigma: GrassmannPoly,
@@ -72,43 +72,42 @@ def convolve_cumulant(psi_rho: GrassmannPoly, psi_sigma: GrassmannPoly,
     )
 
 
-def iterate_conv(rho: np.ndarray, k: int, mode: str = "dense", check: bool = True):
-    """k-fold doubling self-convolution at theta = pi/4.
+def iterate_conv(rho: np.ndarray, k: int) -> np.ndarray:
+    """k-fold doubling self-convolution at theta = pi/4 of an even state.
 
-    mode="dense" returns a state; mode="cumulant" returns the cumulant
-    polynomial with kappa_J scaled by 2^{k(1 - |J|/2)}.
+    The iterates stay moment polynomials; only the last one becomes a matrix.
     """
     if k < 0:
         raise ValueError("iteration order must be nonnegative")
-    if mode == "dense":
-        out = rho
-        for _ in range(k):
-            out = convolve(out, out, DEFAULT_THETA, check=check)
-            check = False  # outputs of the channel stay even
-        return out
-    if mode == "cumulant":
-        return doubling_cumulants(grassmann.cumulants(rho, check=check), k)
-    raise ValueError(f"unknown mode {mode!r}")
+    clifford.assert_even_state(rho)
+    if k == 0:
+        return rho
+    xi = grassmann.fourier(rho)
+    for _ in range(k):
+        xi = convolve_moments(xi, xi)
+    return grassmann.inverse_fourier(xi)
 
 
 def doubling_cumulants(psi: GrassmannPoly, k: int) -> GrassmannPoly:
     """Cumulants of the k-fold doubling iterate: kappa_J scaled by 2^{k(1 - |J|/2)}."""
-    pc = grassmann.popcounts(psi.generators)
+    pc = clifford.popcounts(psi.generators)
     scale = np.power(2.0, k * (1.0 - pc / 2.0))
     return GrassmannPoly(psi.generators, psi.coeffs * scale)
 
 
-def iterate_conv_linear(rho: np.ndarray, m: int, check: bool = True) -> np.ndarray:
-    """Linear-copy iterated convolution over m copies of rho.
+def iterate_conv_linear(rho: np.ndarray, m: int) -> np.ndarray:
+    """Linear-copy iterated convolution over m copies of an even state rho.
 
     The step angle satisfies cos^2(theta_m) = m/(m+1), so every copy enters
     with equal weight; m = 1 returns rho itself.
     """
     if m < 1:
         raise ValueError("copy count must be positive")
-    _check_even_state(rho, check)
-    out = rho
+    clifford.assert_even_state(rho)
+    if m == 1:
+        return rho
+    xi = grassmann.fourier(rho)
+    out = xi
     for j in range(1, m):
-        theta = math.acos(math.sqrt(j / (j + 1)))
-        out = convolve(out, rho, theta, check=False)
-    return out
+        out = convolve_moments(out, xi, math.acos(math.sqrt(j / (j + 1))))
+    return grassmann.inverse_fourier(out)

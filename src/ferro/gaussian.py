@@ -27,10 +27,10 @@ def _check_antisymmetric(m: np.ndarray, eps: float = EPS_ANTISYM) -> None:
         raise ValueError("matrix is not antisymmetric within tolerance")
 
 
-def covariance(rho: np.ndarray, check: bool = True) -> np.ndarray:
-    """Covariance matrix Sigma_jk = (i/2) Tr(rho [gamma_j, gamma_k])."""
+def covariance(rho: np.ndarray) -> np.ndarray:
+    """Covariance matrix Sigma_jk = (i/2) Tr(rho [gamma_j, gamma_k]) of a state."""
     n = clifford.num_qubits(rho)
-    mom = clifford.moments(rho, check=check)
+    mom = clifford.moments(rho)
     j, k = np.triu_indices(2 * n, 1)
     sigma = np.zeros((2 * n, 2 * n))
     # for j != k: Sigma_jk = -i Tr((gamma_j gamma_k)^dag rho)
@@ -156,11 +156,10 @@ def gaussian_from_covariance(sigma: np.ndarray) -> np.ndarray:
     return grassmann.inverse_fourier(grassmann.g_exp(grassmann.GrassmannPoly(2 * n, quad)))
 
 
-def gaussification(rho: np.ndarray, check: bool = True) -> np.ndarray:
-    """Gaussian state with the same covariance as rho."""
-    if check and not clifford.is_even(rho):
-        raise ValueError("Gaussification is defined for even states only")
-    sigma = covariance(rho, check=check)
+def gaussification(rho: np.ndarray) -> np.ndarray:
+    """Gaussian state with the same covariance as the even state rho."""
+    clifford.assert_even_state(rho)
+    sigma = covariance(rho)
     # rounding can push Sigma^T Sigma marginally past I; renormalize if so
     ev = np.linalg.eigvalsh(sigma.T @ sigma)
     if ev.max() > 1.0:

@@ -18,18 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import clifford
-
-
-@lru_cache(maxsize=None)
-def popcounts(nbits: int) -> np.ndarray:
-    """Popcount of every mask over nbits bits."""
-    masks = np.arange(1 << nbits, dtype=np.int64)
-    out = np.zeros(1 << nbits, dtype=np.int64)
-    while masks.any():
-        out += masks & 1
-        masks >>= 1
-    out.setflags(write=False)
-    return out
+from .clifford import popcounts
 
 
 @dataclass(frozen=True)
@@ -81,10 +70,6 @@ class GrassmannPoly:
     def _check(self, other: "GrassmannPoly") -> None:
         if self.generators != other.generators:
             raise ValueError("generator counts differ")
-
-    def degree_slice(self, k: int) -> np.ndarray:
-        """Coefficients of all degree-k monomials, in ascending mask order."""
-        return self.coeffs[popcounts(self.generators) == k]
 
     def is_even(self, eps: float = 1e-12) -> bool:
         odd = popcounts(self.generators) & 1 == 1
@@ -229,10 +214,10 @@ def contract(p: GrassmannPoly, alpha: complex) -> GrassmannPoly:
     return GrassmannPoly(p.generators, p.coeffs * powers)
 
 
-def fourier(rho: np.ndarray, check: bool = True) -> GrassmannPoly:
-    """Moment-generating polynomial: coefficient at J is Tr(gamma_J^dag rho)."""
+def fourier(rho: np.ndarray) -> GrassmannPoly:
+    """Moment-generating polynomial of a state: coefficient at J is Tr(gamma_J^dag rho)."""
     n = clifford.num_qubits(rho)
-    return GrassmannPoly(2 * n, clifford.moments(rho, check=check))
+    return GrassmannPoly(2 * n, clifford.moments(rho))
 
 
 def inverse_fourier(xi: GrassmannPoly) -> np.ndarray:
@@ -241,11 +226,10 @@ def inverse_fourier(xi: GrassmannPoly) -> np.ndarray:
     return clifford.from_moments(xi.coeffs, n)
 
 
-def cumulants(rho: np.ndarray, check: bool = True) -> GrassmannPoly:
+def cumulants(rho: np.ndarray) -> GrassmannPoly:
     """Cumulant-generating polynomial log Xi_rho; defined for even states."""
-    if check and not clifford.is_even(rho):
-        raise ValueError("cumulants are defined for even states only")
-    xi = fourier(rho, check=check)
+    clifford.assert_even_state(rho)
+    xi = fourier(rho)
     # project out odd-degree rounding noise: it is certified <= eps_even and
     # would otherwise be amplified by cumulant scalings downstream
     coeffs = xi.coeffs.copy()

@@ -11,20 +11,20 @@ from . import clifford, convolution, gaussian, grassmann
 EPS_PURE = 1e-8
 
 
-def moment_weights(rho: np.ndarray, check: bool = True):
+def moment_weights(rho: np.ndarray):
     """Moment weights W_k = sum_{|J|=k} |rho_J|^2 and the sensitivity I_M = sum k W_k."""
     n = clifford.num_qubits(rho)
-    mom = clifford.moments(rho, check=check)
-    pc = grassmann.popcounts(2 * n)
+    mom = clifford.moments(rho)
+    pc = clifford.popcounts(2 * n)
     w = np.zeros(2 * n + 1)
     np.add.at(w, pc, np.abs(mom) ** 2)
     i_m = float(np.dot(np.arange(2 * n + 1), w))
     return w, i_m
 
 
-def cumulant_weights(rho: np.ndarray, check: bool = True):
-    """Cumulant weights (K list, K_G, K_M, K_total) of a state; see polynomial_weights."""
-    return polynomial_weights(grassmann.cumulants(rho, check=check))
+def cumulant_weights(rho: np.ndarray):
+    """Cumulant weights (K list, K_G, K_M, K_total) of an even state; see polynomial_weights."""
+    return polynomial_weights(grassmann.cumulants(rho))
 
 
 def polynomial_weights(psi: grassmann.GrassmannPoly):
@@ -35,7 +35,7 @@ def polynomial_weights(psi: grassmann.GrassmannPoly):
     """
     m = psi.generators
     k = np.zeros(m + 1)
-    np.add.at(k, grassmann.popcounts(m), np.abs(psi.coeffs) ** 2)
+    np.add.at(k, clifford.popcounts(m), np.abs(psi.coeffs) ** 2)
     k[0] = 0.0  # constant term log 1 = 0; guard against rounding
     k_g = float(k[2]) if m >= 2 else 0.0
     k_m = float(k[4:].sum())
@@ -43,9 +43,9 @@ def polynomial_weights(psi: grassmann.GrassmannPoly):
     return k, k_g, k_m, k_total
 
 
-def ng_relative_entropy(rho: np.ndarray, check: bool = True) -> float:
-    """Relative entropy of non-Gaussianity S(G(rho)) - S(rho)."""
-    g = gaussian.gaussification(rho, check=check)
+def ng_relative_entropy(rho: np.ndarray) -> float:
+    """Relative entropy of non-Gaussianity S(G(rho)) - S(rho) of an even state."""
+    g = gaussian.gaussification(rho)
     val = clifford.entropy(g) - clifford.entropy(rho)
     return max(val, 0.0)
 
@@ -57,49 +57,38 @@ def assert_pure(psi: np.ndarray) -> None:
         raise ValueError("input is not pure within tolerance")
 
 
-def _assert_pure_even(psi: np.ndarray) -> None:
-    clifford.assert_state(psi)
-    assert_pure(psi)
-    if not clifford.is_even(psi):
-        raise ValueError("input is not even")
-
-
-def ng_entropies(psi: np.ndarray, kmax: int, alpha: float = 1.0,
-                 check: bool = True) -> list[float]:
+def ng_entropies(psi: np.ndarray, kmax: int, alpha: float = 1.0) -> list[float]:
     """Non-Gaussian entropies S_alpha(boxtimes^k psi) for k = 1..kmax of a pure even state.
 
-    Each doubling iterate is convolved once and reused for the next order.
+    The doubling iterates stay moment polynomials, as in iterate_conv; each
+    becomes a matrix only for its entropy.
     """
     if kmax < 1:
         raise ValueError("order k must be >= 1")
-    if check:
-        _assert_pure_even(psi)
+    clifford.assert_even_state(psi)
+    assert_pure(psi)
+    xi = grassmann.fourier(psi)
     out = []
-    cur = psi
     for _ in range(kmax):
-        cur = convolution.convolve(cur, cur, check=False)
-        out.append(clifford.entropy(cur, alpha))
+        xi = convolution.convolve_moments(xi, xi)
+        out.append(clifford.entropy(grassmann.inverse_fourier(xi), alpha))
     return out
 
 
-def ng_entropy(psi: np.ndarray, k: int = 1, alpha: float = 1.0, check: bool = True) -> float:
+def ng_entropy(psi: np.ndarray, k: int = 1, alpha: float = 1.0) -> float:
     """k-th order non-Gaussian entropy S_alpha(boxtimes^k psi) of a pure even state."""
-    return ng_entropies(psi, k, alpha, check)[-1]
+    return ng_entropies(psi, k, alpha)[-1]
 
 
-def ng_entropy_mixed(rho: np.ndarray, k: int = 1, check: bool = True) -> float:
-    """Mixed-state extension S(boxtimes^k rho) - S(rho)."""
-    if check:
-        clifford.assert_state(rho)
-        if not clifford.is_even(rho):
-            raise ValueError("input is not even")
-    out = convolution.iterate_conv(rho, k, mode="dense", check=False)
+def ng_entropy_mixed(rho: np.ndarray, k: int = 1) -> float:
+    """Mixed-state extension S(boxtimes^k rho) - S(rho) of an even state."""
+    out = convolution.iterate_conv(rho, k)
     return max(clifford.entropy(out) - clifford.entropy(rho), 0.0)
 
 
-def clt_bound(rho: np.ndarray, k: int, variant: str = "doubling", check: bool = True) -> float:
+def clt_bound(rho: np.ndarray, k: int, variant: str = "doubling") -> float:
     """Convergence-rate bound on ||boxtimes^k rho - G(rho)||_2; see clt_bound_from_weights."""
-    _, k_g, k_m, _ = cumulant_weights(rho, check=check)
+    _, k_g, k_m, _ = cumulant_weights(rho)
     return clt_bound_from_weights(k_g, k_m, k, variant)
 
 

@@ -39,11 +39,14 @@ def gaussian_state_test(psi: np.ndarray, eps: float = EPS_TEST) -> StateTestResu
     """Three-copy protocol: swap test between psi and psi boxtimes psi.
 
     p_accept = (1 + <psi| psi boxtimes psi |psi>)/2; equals 1 iff psi is
-    fermionic Gaussian.
+    fermionic Gaussian.  The overlap is read in the moment domain, by
+    Parseval: Tr psi c = 2^-n Re sum_J conj(psi_J) c_J.
     """
-    measures._assert_pure_even(psi)
-    conv = convolution.convolve(psi, psi, check=False)
-    overlap = float(np.real(np.trace(psi @ conv)))
+    clifford.assert_even_state(psi)
+    measures.assert_pure(psi)
+    xi = grassmann.fourier(psi)
+    conv = convolution.convolve_moments(xi, xi)
+    overlap = float(np.real(np.vdot(xi.coeffs, conv.coeffs))) / psi.shape[0]
     p = 0.5 * (1.0 + overlap)
     return StateTestResult(p_accept=p, is_gaussian=bool(p >= 1.0 - eps))
 
@@ -69,7 +72,7 @@ def even_unitary_test(u: np.ndarray, eps: float = clifford.EPS_EVEN) -> bool:
     n = clifford.num_qubits(u)
     d = 1 << n
     plus = np.full(d, 1.0 / math.sqrt(d), dtype=complex)
-    signs = 1.0 - 2.0 * clifford._parity_table(n)[np.arange(d)]
+    signs = 1.0 - 2.0 * (clifford.popcounts(n) & 1)
     a = signs * (u @ plus)
     b = u @ (signs * plus)
     return bool(np.real(np.vdot(a, b)) >= 1.0 - eps)
@@ -86,7 +89,7 @@ def max_entangled_fermionic(n: int) -> np.ndarray:
     m = 2 * n
     s = np.arange(1 << m)
     c = np.zeros(1 << (2 * m), dtype=complex)
-    c[s | (s << m)] = np.where(grassmann.popcounts(m) % 2, 1j, 1.0)
+    c[s | (s << m)] = np.where(clifford.popcounts(m) % 2, 1j, 1.0)
     return clifford.from_moments(c, m)
 
 
@@ -111,7 +114,7 @@ def choi_covariance_block(u: np.ndarray) -> np.ndarray:
     return np.einsum("kab,jba->jk", g, ugu).real / (1 << n)
 
 
-def gaussian_unitary_test(u: np.ndarray, engine: str = "auto",
+def gaussian_unitary_test(u: np.ndarray, engine: str = "cumulant",
                           eps: float = EPS_TEST) -> UnitaryTestResult:
     """U is Gaussian iff it is even and its Choi state is Gaussian.
 
@@ -120,14 +123,11 @@ def gaussian_unitary_test(u: np.ndarray, engine: str = "auto",
     R of choi_covariance_block: the Choi state is pure, and a pure state is
     Gaussian iff its covariance is orthogonal (Bravyi, quant-ph/0404180),
     i.e. iff every U gamma_j U^dag lies in span{gamma_k} (Jozsa & Miyake,
-    arXiv:0804.4050), i.e. iff every row of R has unit norm.  "auto" picks
-    dense for n <= 2.  Odd unitaries such as gamma_1 also map the gamma_j
-    into their span, so the even check comes first.
+    arXiv:0804.4050), i.e. iff every row of R has unit norm; this rule is
+    exact at every mode count.  Odd unitaries such as gamma_1 also map the
+    gamma_j into their span, so the even check comes first.
     """
     clifford.assert_unitary(u)
-    n = clifford.num_qubits(u)
-    if engine == "auto":
-        engine = "dense" if n <= 2 else "cumulant"
     if engine not in ("dense", "cumulant"):
         raise ValueError(f"unknown engine {engine!r}")
     if not even_unitary_test(u):

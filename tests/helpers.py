@@ -27,7 +27,7 @@ def random_pure_even_state(rng, n, parity=0):
     """Pure state supported on one computational parity sector."""
     d = 1 << n
     v = rng.normal(size=d) + 1j * rng.normal(size=d)
-    par = clifford._parity_table(n)
+    par = clifford.popcounts(n) & 1
     v[par != parity] = 0.0
     v /= np.linalg.norm(v)
     return np.outer(v, v.conj())
@@ -61,7 +61,7 @@ def parity_block_unitary(rng, n=2):
     Generic instances are not Gaussian (not matchgate-structured).
     """
     d = 1 << n
-    par = clifford._parity_table(n)
+    par = clifford.popcounts(n) & 1
     u = np.zeros((d, d), dtype=complex)
     for p in (0, 1):
         idx = np.nonzero(par == p)[0]
@@ -94,7 +94,7 @@ def max_entangled_product(n):
 
 def choi_super_quadratic_mass(u):
     """Oracle K_M of the Choi state: U is Gaussian iff it is even and this is ~0."""
-    return measures.cumulant_weights(testing.choi_state(u), check=False)[2]
+    return measures.cumulant_weights(testing.choi_state(u))[2]
 
 
 def _dense_joint(rho, sigma, theta):

@@ -47,7 +47,7 @@ def test_gaussian_states_are_convolution_fixed_points(rng):
         n = 1 + i % 3
         rho = random_gaussian_state(rng, n)
         for theta in (math.pi / 6, math.pi / 4):
-            out = convolution.convolve(rho, rho, theta, check=False)
+            out = convolution.convolve(rho, rho, theta)
             worst = max(worst, clifford.l2_norm(out - rho))
     elapsed = time.monotonic() - t0
     _report(
@@ -67,8 +67,8 @@ def test_cumulant_engine_matches_dense_convolution(rng):
         sigma = random_even_state(rng, n)
         dense = dense_convolve(rho, sigma, theta)
         psi = convolution.convolve_cumulant(
-            grassmann.cumulants(rho, check=False),
-            grassmann.cumulants(sigma, check=False),
+            grassmann.cumulants(rho),
+            grassmann.cumulants(sigma),
             theta,
         )
         back = grassmann.inverse_fourier(grassmann.g_exp(psi))
@@ -89,7 +89,7 @@ def test_entropy_never_decreases_under_convolution(rng):
         prev = clifford.entropy(rho)
         cur = rho
         for _k in range(3):
-            cur = convolution.convolve(cur, cur, check=False)
+            cur = convolution.convolve(cur, cur)
             s = clifford.entropy(cur)
             worst = min(worst, s - prev)
             prev = s
@@ -97,7 +97,7 @@ def test_entropy_never_decreases_under_convolution(rng):
     for _ in range(10):
         rho = random_even_state(rng, 2)
         sigma = random_even_state(rng, 2)
-        s_out = clifford.entropy(convolution.convolve(rho, sigma, check=False))
+        s_out = clifford.entropy(convolution.convolve(rho, sigma))
         pair_worst = min(
             pair_worst, s_out - 0.5 * clifford.entropy(rho) - 0.5 * clifford.entropy(sigma)
         )
@@ -115,14 +115,14 @@ def test_convergence_distance_obeys_bound(rng):
     slack = math.inf
     ratio_ok = True
     for rho in corpus:
-        g = gaussian.gaussification(rho, check=False)
+        g = gaussian.gaussification(rho)
         cur = rho
         dists = []
         for k in range(6):
             dists.append(clifford.l2_norm(cur - g))
-            slack = min(slack, measures.clt_bound(rho, k, check=False) - dists[-1])
+            slack = min(slack, measures.clt_bound(rho, k) - dists[-1])
             if k < 5:
-                cur = convolution.convolve(cur, cur, check=False)
+                cur = convolution.convolve(cur, cur)
         if dists[1] > 1e-6:
             ratio_ok = ratio_ok and dists[5] <= dists[1] / 16 + 1e-12
     _report(
@@ -165,12 +165,12 @@ def test_min_entropy_plateau_and_gaussian_weights(rng):
                 plateau, abs(measures.ng_entropy(psi, k=k, alpha=0.0) - 4 * math.log(2))
             )
     _, _, _, k_total = measures.cumulant_weights(
-        random_gaussian_state(rng, 4, pure=True), check=False
+        random_gaussian_state(rng, 4, pure=True)
     )
     kg_dev = 0.0
     for n in (1, 2, 3, 4):
         g = random_gaussian_state(rng, n, pure=True)
-        _, k_g, k_m, _ = measures.cumulant_weights(g, check=False)
+        _, k_g, k_m, _ = measures.cumulant_weights(g)
         kg_dev = max(kg_dev, abs(k_g - n), k_m)
     _report(
         "min-entropy plateau at 4 log 2 and pure-Gaussian weights",
@@ -184,8 +184,8 @@ def test_wick_moments_from_covariance(rng):
     for i in range(20):
         n = 1 + i % 3
         rho = random_gaussian_state(rng, n)
-        mom = clifford.moments(rho, check=False)
-        sig = gaussian.covariance(rho, check=False)
+        mom = clifford.moments(rho)
+        sig = gaussian.covariance(rho)
         pc = grassmann.popcounts(2 * n)
         for mask in range(1 << (2 * n)):
             k = int(pc[mask])
@@ -211,15 +211,15 @@ def test_invariants_under_gaussian_rotations(rng):
         (states.magic_state(math.pi), 4, True),
     ]
     for rho, n, pure in corpus:
-        w0, i0 = measures.moment_weights(rho, check=False)
-        k0, kg0, km0, kt0 = measures.cumulant_weights(rho, check=False)
-        ng0 = measures.ng_relative_entropy(rho, check=False)
-        e0 = [measures.ng_entropy(rho, k=k, check=False) for k in (1, 2)] if pure else []
+        w0, i0 = measures.moment_weights(rho)
+        k0, kg0, km0, kt0 = measures.cumulant_weights(rho)
+        ng0 = measures.ng_relative_entropy(rho)
+        e0 = [measures.ng_entropy(rho, k=k) for k in (1, 2)] if pure else []
         for _ in range(10):
             u, _ = random_gaussian_unitary(rng, n)
             rot = u @ rho @ u.conj().T
-            w, i_m = measures.moment_weights(rot, check=False)
-            k_arr, kg, km, kt = measures.cumulant_weights(rot, check=False)
+            w, i_m = measures.moment_weights(rot)
+            k_arr, kg, km, kt = measures.cumulant_weights(rot)
             worst = max(
                 worst,
                 np.abs(w - w0).max(),
@@ -228,10 +228,10 @@ def test_invariants_under_gaussian_rotations(rng):
                 abs(kg - kg0),
                 abs(km - km0),
                 abs(kt - kt0),
-                abs(measures.ng_relative_entropy(rot, check=False) - ng0),
+                abs(measures.ng_relative_entropy(rot) - ng0),
             )
             for k, ref in zip((1, 2), e0):
-                worst = max(worst, abs(measures.ng_entropy(rot, k=k, check=False) - ref))
+                worst = max(worst, abs(measures.ng_entropy(rot, k=k) - ref))
     _report(
         "weights and entropies are invariant under Gaussian rotations",
         worst <= 1e-8,
@@ -290,14 +290,14 @@ def test_frozen_reference_values_reproduced():
     devs = {
         "ng": abs(measures.ng_relative_entropy(psi) - ref["ng_relative_entropy"]),
         "p_accept": abs(testing.gaussian_state_test(psi).p_accept - ref["p_accept"]),
-        "k_m": abs(measures.cumulant_weights(psi, check=False)[2] - ref["k_m"]),
+        "k_m": abs(measures.cumulant_weights(psi)[2] - ref["k_m"]),
     }
-    g = gaussian.gaussification(psi, check=False)
+    g = gaussian.gaussification(psi)
     cur = psi
     for k, want in enumerate(ref["distances_k0_to_k5"]):
         devs[f"dist_k{k}"] = abs(clifford.l2_norm(cur - g) - want)
         if k < 5:
-            cur = convolution.convolve(cur, cur, check=False)
+            cur = convolution.convolve(cur, cur)
     worst = max(devs.values())
     _report(
         "frozen reference values are reproduced",

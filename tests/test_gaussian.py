@@ -25,7 +25,7 @@ def test_covariance_transforms_under_gaussian_unitary(rng):
     # transforms by the inverse rotation: Sigma -> R^T Sigma R
     rho = random_even_state(rng, 2)
     u, r = random_gaussian_unitary(rng, 2)
-    lhs = gaussian.covariance(u @ rho @ u.conj().T, check=False)
+    lhs = gaussian.covariance(u @ rho @ u.conj().T)
     rhs = r.T @ gaussian.covariance(rho) @ r
     assert np.abs(lhs - rhs).max() < 1e-9
 
@@ -106,7 +106,7 @@ def test_gaussian_from_covariance_basics():
 def test_gaussian_from_covariance_round_trip(rng):
     for n in (1, 2, 3):
         rho = random_gaussian_state(rng, n)
-        sig = gaussian.covariance(rho, check=False)
+        sig = gaussian.covariance(rho)
         back = gaussian.gaussian_from_covariance(sig)
         assert np.abs(back - rho).max() < 1e-9
         assert np.linalg.eigvalsh(back).min() > -1e-10
@@ -130,7 +130,7 @@ def test_gaussification_fixes_gaussians(rng):
 def test_gaussification_commutes_with_gaussian_unitaries(rng):
     rho = random_even_state(rng, 2)
     u, _ = random_gaussian_unitary(rng, 2)
-    lhs = gaussian.gaussification(u @ rho @ u.conj().T, check=False)
+    lhs = gaussian.gaussification(u @ rho @ u.conj().T)
     rhs = u @ gaussian.gaussification(rho) @ u.conj().T
     assert np.abs(lhs - rhs).max() < 1e-9
 
@@ -176,7 +176,7 @@ def test_spectrum_entropy():
 def test_spectrum_entropy_matches_dense(rng):
     for n in (1, 2, 3):
         rho = random_gaussian_state(rng, n)
-        can = gaussian.canonicalize(gaussian.covariance(rho, check=False))
+        can = gaussian.canonicalize(gaussian.covariance(rho))
         assert abs(gaussian.gaussian_spectrum_entropy(can.lambdas) - clifford.entropy(rho)) < 1e-8
 
 
@@ -184,8 +184,8 @@ def test_wick_moments(rng):
     """Moments of a Gaussian are i^{|J|/2} Pf(Sigma_|J) for even J and 0 for odd J."""
     for n in (1, 2, 3):
         rho = random_gaussian_state(rng, n)
-        sig = gaussian.covariance(rho, check=False)
-        mom = clifford.moments(rho, check=False)
+        sig = gaussian.covariance(rho)
+        mom = clifford.moments(rho)
         pc = grassmann.popcounts(2 * n)
         for mask in range(1 << (2 * n)):
             k = int(pc[mask])
@@ -201,10 +201,10 @@ def test_quadratic_weight_bound(rng):
     n = 2
     for _ in range(5):
         rho = random_even_state(rng, n)
-        w, _ = measures.moment_weights(rho, check=False)
+        w, _ = measures.moment_weights(rho)
         assert w[2] <= n + 1e-9
     pure_g = random_gaussian_state(rng, n, pure=True)
-    w, _ = measures.moment_weights(pure_g, check=False)
+    w, _ = measures.moment_weights(pure_g)
     assert abs(w[2] - n) < 1e-9
 
 

@@ -107,7 +107,7 @@ def test_fourier_unitary_covariance(rng):
     n = 2
     rho = random_state(rng, n)
     u, r = random_gaussian_unitary(rng, n)
-    lhs = grassmann.fourier(u @ rho @ u.conj().T, check=False)
+    lhs = grassmann.fourier(u @ rho @ u.conj().T)
     rhs = rotate_generators(grassmann.fourier(rho), r)
     assert np.abs(lhs.coeffs - rhs.coeffs).max() < 1e-9
 

@@ -84,6 +84,17 @@ def test_cli_test_unitary_reports(tmp_path, capsys):
     assert "reason: choi-not-gaussian" in out
 
 
+def test_cli_test_unitary_default_engine(tmp_path, capsys):
+    f = tmp_path / "cz.txt"
+    f.write_text(io.write_array(np.diag([1, 1, 1, -1]).astype(complex)))
+    assert cli.main(["test-unitary", str(f)]) == 0
+    assert "engine: cumulant\n" in capsys.readouterr().out
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["test-unitary", str(f), "--engine", "auto"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'auto'" in capsys.readouterr().err
+
+
 def test_cli_clt_rows_bounded(tmp_path):
     f = tmp_path / "psi.txt"
     f.write_text(io.write_array(states.magic_state_vector(math.pi)))

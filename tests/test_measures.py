@@ -25,14 +25,14 @@ def test_moment_weights_sum_rule(rng):
     w, _ = measures.moment_weights(rho)
     assert abs(w.sum() - 4 * np.real(np.trace(rho @ rho))) < 1e-9
     psi = random_pure_even_state(rng, 2)
-    w2, _ = measures.moment_weights(psi, check=False)
+    w2, _ = measures.moment_weights(psi)
     assert abs(w2.sum() - 4.0) < 1e-9
 
 
 def test_cumulant_weights_pure_gaussian(rng):
     for n in (2, 3, 4):
         psi = random_gaussian_state(rng, n, pure=True)
-        _, k_g, k_m, k_total = measures.cumulant_weights(psi, check=False)
+        _, k_g, k_m, k_total = measures.cumulant_weights(psi)
         assert abs(k_g - n) < 1e-9
         assert k_m < 1e-9
         assert abs(k_total - 2 * n) < 1e-8
@@ -53,14 +53,14 @@ def test_cumulant_weights_additive(rng):
 def test_magic_state_k_m_peaks_at_pi():
     vals = []
     for phi in np.linspace(0, 2 * math.pi, 17):
-        _, _, k_m, _ = measures.cumulant_weights(states.magic_state(phi), check=False)
+        _, _, k_m, _ = measures.cumulant_weights(states.magic_state(phi))
         vals.append(k_m)
     assert np.argmax(vals) == 8  # the phi = pi grid point
 
 
 def test_ng_relative_entropy_gaussian_zero(rng):
     rho = random_gaussian_state(rng, 2)
-    assert measures.ng_relative_entropy(rho, check=False) < 1e-8
+    assert measures.ng_relative_entropy(rho) < 1e-8
 
 
 def test_ng_relative_entropy_additive(rng):
@@ -79,20 +79,20 @@ def test_weight_invariance_under_gaussian_unitaries(rng):
     for _ in range(3):
         u, _ = random_gaussian_unitary(rng, 2)
         rot = u @ rho @ u.conj().T
-        w, i_m = measures.moment_weights(rot, check=False)
-        k, kg, km, kt = measures.cumulant_weights(rot, check=False)
+        w, i_m = measures.moment_weights(rot)
+        k, kg, km, kt = measures.cumulant_weights(rot)
         assert np.abs(w - w0).max() < 1e-9
         assert abs(i_m - i0) < 1e-8
         assert np.abs(k - k0).max() < 1e-9
         assert abs(kg - kg0) < 1e-9 and abs(km - km0) < 1e-9 and abs(kt - kt0) < 1e-8
-        assert abs(measures.ng_relative_entropy(rot, check=False) - ng0) < 1e-8
+        assert abs(measures.ng_relative_entropy(rot) - ng0) < 1e-8
 
 
 def test_ng_entropy_gaussian_zero(rng):
     psi = random_gaussian_state(rng, 2, pure=True)
     for k in (1, 2):
         for alpha in (0.0, 1.0, 2.0, math.inf):
-            assert measures.ng_entropy(psi, k=k, alpha=alpha, check=False) < 1e-7
+            assert measures.ng_entropy(psi, k=k, alpha=alpha) < 1e-7
 
 
 def test_ng_entropies_match_iterates():
@@ -104,6 +104,20 @@ def test_ng_entropies_match_iterates():
             expect = clifford.entropy(convolution.iterate_conv(psi, k), alpha)
             assert vals[k - 1] == expect
             assert measures.ng_entropy(psi, k=k, alpha=alpha) == expect
+
+
+def test_ng_entropies_stay_in_moment_domain(monkeypatch):
+    """One moment transform in; one matrix out per order, for its entropy."""
+    calls = []
+
+    def counting(name):
+        fn = getattr(clifford, name)
+        return lambda *args, **kwargs: calls.append(name) or fn(*args, **kwargs)
+
+    for name in ("moments", "from_moments"):
+        monkeypatch.setattr(clifford, name, counting(name))
+    measures.ng_entropies(states.magic_state(2.0), 4)
+    assert (calls.count("moments"), calls.count("from_moments")) == (1, 4)
 
 
 def test_ng_entropy_rejects_bad_input(rng):
@@ -140,10 +154,10 @@ def test_ng_entropy_monotone_to_relative(rng):
 
 def test_ng_entropy_mixed(rng):
     rho = random_gaussian_state(rng, 2)
-    assert measures.ng_entropy_mixed(rho, k=2, check=False) < 1e-8
+    assert measures.ng_entropy_mixed(rho, k=2) < 1e-8
     psi = random_pure_even_state(rng, 2)
-    assert abs(measures.ng_entropy_mixed(psi, k=1, check=False)
-               - measures.ng_entropy(psi, k=1, check=False)) < 1e-9
+    assert abs(measures.ng_entropy_mixed(psi, k=1)
+               - measures.ng_entropy(psi, k=1)) < 1e-9
     mixed = random_even_state(rng, 2)
     assert measures.ng_entropy_mixed(mixed, k=2) >= 0.0
 
@@ -151,7 +165,7 @@ def test_ng_entropy_mixed(rng):
 def test_clt_bound(rng):
     g = random_gaussian_state(rng, 2)
     for k in (0, 1, 3):
-        assert measures.clt_bound(g, k, check=False) < 1e-6
+        assert measures.clt_bound(g, k) < 1e-6
     psi = states.magic_state(math.pi)
     ratios = [measures.clt_bound(psi, k + 1) / measures.clt_bound(psi, k) for k in (10, 12, 14)]
     for ratio in ratios:

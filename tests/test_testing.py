@@ -43,6 +43,19 @@ def test_state_test_rejects_magic_state():
     assert res.p_accept < 1.0 - 1e-3
 
 
+def test_state_test_reads_overlap_from_moments(rng, monkeypatch):
+    """The swap-test overlap is a moment-domain Parseval sum: no matrix is rebuilt."""
+    psi = states.magic_state(2.0)
+    want = 0.5 * (1.0 + np.real(np.trace(psi @ convolution.convolve(psi, psi))))
+
+    def refuse(*args):
+        raise AssertionError("gaussian_state_test rebuilt a matrix")
+
+    monkeypatch.setattr(clifford, "from_moments", refuse)
+    assert abs(testing.gaussian_state_test(psi).p_accept - want) < 1e-12
+    assert testing.gaussian_state_test(random_gaussian_state(rng, 3, pure=True)).is_gaussian
+
+
 def test_state_test_rejects_mixed_input():
     with pytest.raises(ValueError):
         testing.gaussian_state_test(np.eye(4, dtype=complex) / 4)
@@ -95,7 +108,7 @@ def test_choi_state_of_gaussian_unitary_is_gaussian(rng):
     res = testing.gaussian_state_test(choi)
     assert res.is_gaussian
     # covariance block structure [[0, O^T], [-O, 0]]
-    sig = gaussian.covariance(choi, check=False)
+    sig = gaussian.covariance(choi)
     assert np.abs(sig[:4, 4:] - r.T).max() < 1e-9
     assert np.abs(sig[4:, :4] + r).max() < 1e-9
     assert np.abs(sig[:4, :4]).max() < 1e-9
@@ -128,11 +141,31 @@ def test_unitary_test_cumulant_engine(rng):
     res = testing.gaussian_unitary_test(u, engine="cumulant")
     assert res.is_gaussian and res.engine == "cumulant"
     assert not testing.gaussian_unitary_test(CZ, engine="cumulant").is_gaussian
-    # Toffoli flips parity on |110>, so it fails the even test; auto picks
-    # the cumulant engine above 2 modes
+    # Toffoli flips parity on |110>, so it fails the even test
     res = testing.gaussian_unitary_test(TOFFOLI)
     assert res.engine == "cumulant"
     assert not res.is_gaussian and res.reason == "not-even"
+
+
+def test_engines_agree_at_one_and_two_modes(rng):
+    corpus = [
+        (random_gaussian_unitary(rng, 1)[0], True, ""),
+        (random_gaussian_unitary(rng, 2)[0], True, ""),
+        (convolution.conv_unitary(math.pi / 4, 1), True, ""),
+        (CZ, False, "choi-not-gaussian"),
+        (SWAP, False, "choi-not-gaussian"),
+        (parity_block_unitary(rng, 2), False, "choi-not-gaussian"),
+        (clifford.majorana(1, 1), False, "not-even"),
+        (clifford.majorana(1, 2), False, "not-even"),
+    ]
+    for u, gaussian_, reason in corpus:
+        default = testing.gaussian_unitary_test(u)
+        dense = testing.gaussian_unitary_test(u, engine="dense")
+        assert default.engine == "cumulant"
+        assert (default.is_gaussian, default.reason) == (gaussian_, reason)
+        assert (dense.is_gaussian, dense.reason) == (gaussian_, reason)
+    with pytest.raises(ValueError):
+        testing.gaussian_unitary_test(CZ, engine="auto")
 
 
 def test_engines_agree_at_three_modes(rng):
@@ -172,7 +205,7 @@ def test_covariance_rule_matches_choi_cumulants(n, kind, t, seed):
     res = testing.gaussian_unitary_test(u, engine="cumulant")
     oracle = testing.even_unitary_test(u) and choi_super_quadratic_mass(u) <= testing.EPS_TEST
     assert res.is_gaussian == oracle
-    sig = gaussian.covariance(testing.choi_state(u), check=False)
+    sig = gaussian.covariance(testing.choi_state(u))
     assert np.abs(testing.choi_covariance_block(u) + sig[2 * n :, : 2 * n]).max() < 1e-12
 
 
@@ -193,7 +226,7 @@ def test_covariance_rule_closed_forms(rng, n):
 def test_rejection_probability_identity(rng):
     psi = random_pure_even_state(rng, 2)
     res = testing.gaussian_state_test(psi)
-    conv = convolution.convolve(psi, psi, check=False)
+    conv = convolution.convolve(psi, psi)
     overlap = float(np.real(np.trace(psi @ conv)))
     assert res.p_accept <= 1.0 + 1e-12
     assert abs((1.0 - res.p_accept) - 0.5 * (1.0 - overlap)) < 1e-12
