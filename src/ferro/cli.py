@@ -40,27 +40,23 @@ def cmd_fig2(args) -> int:
     if not 1 <= kmax <= 4:
         raise CliError("E_KMAX_RANGE", str(kmax))
     grid = _phi_grid(args.grid)
-
-    def row(phi: float):
-        psi = states.magic_state(phi)
-        vals = measures.ng_entropies(psi, kmax)
-        vals.append(measures.ng_relative_entropy(psi))
-        return [float(phi)] + [float(v) for v in vals]
-
+    psi = states.magic_state(grid)
+    cols = measures.ng_entropies(psi, kmax)
+    cols.append(measures.ng_relative_entropy(psi))
     header = ["phi"] + [f"NG_k{k}" for k in range(1, kmax + 1)] + ["NG_inf"]
-    io.write_csv(args.out, header, [row(phi) for phi in grid])
+    io.write_csv(args.out, header, _rows(grid, cols))
     return 0
+
+
+def _rows(grid: np.ndarray, cols) -> list:
+    """CSV rows phi, col_1[i], col_2[i], ... from per-column arrays over the grid."""
+    return np.column_stack([grid, *cols]).tolist()
 
 
 def cmd_weights(args) -> int:
     grid = _phi_grid(args.grid)
-
-    def row(phi: float):
-        psi = states.magic_state(phi)
-        _, k_g, k_m, k_total = measures.cumulant_weights(psi)
-        return [float(phi), k_g, k_m, k_total]
-
-    io.write_csv(args.out, ["phi", "K_G", "K_M", "K"], [row(phi) for phi in grid])
+    _, k_g, k_m, k_total = measures.cumulant_weights(states.magic_state(grid))
+    io.write_csv(args.out, ["phi", "K_G", "K_M", "K"], _rows(grid, [k_g, k_m, k_total]))
     return 0
 
 
@@ -69,14 +65,9 @@ def cmd_renyi(args) -> int:
     if not 1 <= kmax <= 4:
         raise CliError("E_KMAX_RANGE", str(kmax))
     grid = _phi_grid(args.grid)
-
-    def row(phi: float):
-        psi = states.magic_state(phi)
-        vals = measures.ng_entropies(psi, kmax, alpha=args.alpha)
-        return [float(phi)] + [float(v) for v in vals]
-
+    cols = measures.ng_entropies(states.magic_state(grid), kmax, alpha=args.alpha)
     header = ["phi"] + [f"NG_a{io.fmt(args.alpha)}_k{k}" for k in range(1, kmax + 1)]
-    io.write_csv(args.out, header, [row(phi) for phi in grid])
+    io.write_csv(args.out, header, _rows(grid, cols))
     return 0
 
 
@@ -125,13 +116,14 @@ def cmd_test_state(args) -> int:
     if not even:
         print("even: no")
         print("verdict: non-gaussian")
-        print("csv,even=0,p_accept=,gaussian=0,reason=not-even")
+        print("csv,even=0,p_accept=,gaussian=0,reason=not-even,margin=")
         return 0
     res = testing.gaussian_state_test(rho)
     print("even: yes")
     print(f"p_accept: {io.fmt(res.p_accept)}")
     print(f"verdict: {'gaussian' if res.is_gaussian else 'non-gaussian'}")
-    print(f"csv,even=1,p_accept={io.fmt(res.p_accept)},gaussian={int(res.is_gaussian)},reason=")
+    print(f"csv,even=1,p_accept={io.fmt(res.p_accept)},gaussian={int(res.is_gaussian)},reason=,"
+          f"margin={io.fmt(res.margin)}")
     return 0
 
 
@@ -160,21 +152,21 @@ def cmd_clt(args) -> int:
     _check_modes(arr, MAX_STATE_MODES)
     rho = _density(arr, kind)
     try:
-        clifford.assert_even_state(rho)
+        xi = grassmann.even_fourier(rho)
     except ValueError as e:
         raise CliError("E_NOT_EVEN_STATE", str(e)) from None
     kmax = args.kmax
     limit = 6 if args.engine == "cumulant" else 4
     if not 0 <= kmax <= limit:
         raise CliError("E_KMAX_RANGE", f"{kmax} (engine {args.engine} allows <= {limit})")
-    # one cumulant polynomial serves every row's bound and the limit G(rho),
-    # which keeps the cumulants of degree <= 2; distances by moment-domain
-    # Parseval, ||rho - g||_2 = 2^-n sqrt(sum_J |rho_J - g_J|^2)
-    psi = grassmann.cumulants(rho)
+    # one moment table gives the iterates and the cumulant polynomial, which
+    # serves every row's bound and the limit G(rho): it keeps the cumulants
+    # of degree <= 2; distances by moment-domain Parseval,
+    # ||rho - g||_2 = 2^-n sqrt(sum_J |rho_J - g_J|^2)
+    psi = grassmann.cumulants_from_moments(xi)
     _, k_g, k_m, _ = measures.polynomial_weights(psi)
     low = clifford.popcounts(psi.generators) <= 2
     g_mom = grassmann.g_exp(grassmann.GrassmannPoly(psi.generators, psi.coeffs * low))
-    xi = grassmann.fourier(rho)
     rows = []
     for k in range(kmax + 1):
         if k:

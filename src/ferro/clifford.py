@@ -6,6 +6,10 @@ phase * X^x Z^z, kept as three arrays indexed by the product's mask and
 materialized as matrices only on demand.  The moment transform and its
 inverse are one gather or scatter plus one 2^n x 2^n matmul with the
 Sylvester-Hadamard matrix: O(8^n) numpy work and no loop over masks.
+
+The functions a sweep runs (assert_state, is_even, moments, from_moments,
+entropy) also take a stack (..., d, d) of states and act on each; a check
+on a stack fails if any of its states fails it.
 """
 
 from __future__ import annotations
@@ -23,20 +27,35 @@ EPS_RANK = 1e-10
 
 def num_qubits(a: np.ndarray) -> int:
     """Qubit count of a square operator; raises on non-power-of-two dims."""
-    d = a.shape[0]
-    if a.ndim != 2 or a.shape[1] != d or d & (d - 1) or d == 0:
+    if a.ndim != 2:
+        raise ValueError(f"expected a square matrix of power-of-two dimension, got {a.shape}")
+    return stack_qubits(a)
+
+
+def stack_qubits(a: np.ndarray) -> int:
+    """Qubit count of a square operator or of a stack (..., d, d) of them."""
+    d = a.shape[-1] if a.ndim else 0
+    if a.ndim < 2 or a.shape[-2] != d or d & (d - 1) or d == 0:
         raise ValueError(f"expected a square matrix of power-of-two dimension, got {a.shape}")
     return d.bit_length() - 1
 
 
+def per_state(values: np.ndarray, kind=float):
+    """A result with one value per state: kind(values) for one state, the array for a stack."""
+    return kind(values) if np.ndim(values) == 0 else values
+
+
 def assert_state(rho: np.ndarray, eps: float = EPS_PSD) -> None:
-    """Check finiteness, Hermiticity, unit trace and positivity up to tolerance."""
-    num_qubits(rho)
+    """Check finiteness, Hermiticity, unit trace and positivity up to tolerance.
+
+    rho may be a stack (..., d, d); it fails if any of its states fails.
+    """
+    stack_qubits(rho)
     if not np.isfinite(rho).all():
         raise ValueError("state has non-finite entries")
-    if np.linalg.norm(rho - rho.conj().T) > 1e-8:
+    if np.any(np.linalg.norm(rho - rho.conj().swapaxes(-1, -2), axis=(-2, -1)) > 1e-8):
         raise ValueError("state is not Hermitian")
-    if abs(np.trace(rho) - 1.0) > 1e-8:
+    if np.any(np.abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0) > 1e-8):
         raise ValueError("state trace differs from 1")
     if np.linalg.eigvalsh(rho).min() < -eps:
         raise ValueError("state has a negative eigenvalue beyond tolerance")
@@ -45,7 +64,7 @@ def assert_state(rho: np.ndarray, eps: float = EPS_PSD) -> None:
 def assert_even_state(rho: np.ndarray) -> None:
     """assert_state, then raise ValueError unless rho commutes with the parity operator."""
     assert_state(rho)
-    if not is_even(rho):
+    if not np.all(is_even(rho)):
         raise ValueError("state is not even")
 
 
@@ -165,27 +184,35 @@ def parity_operator(n: int) -> np.ndarray:
 
 def moments(rho: np.ndarray) -> np.ndarray:
     """All 4^n Majorana moments Tr(gamma_J^dag rho) of a state, indexed by mask."""
-    n = num_qubits(rho)
     assert_state(rho)
+    return _moments(rho)
+
+
+def _moments(rho: np.ndarray) -> np.ndarray:
+    """The moment table of moments, for a state (or stack) already validated."""
+    n = stack_qubits(rho)
     _, x, z = _basis_paulis(n)
     had, sign = _moment_transform(n)
     idx = np.arange(1 << n)
-    v = rho[idx[None, :], idx[None, :] ^ idx[:, None]]  # v[x, i] = rho[i, i ^ x]
-    return sign * (v @ had)[x, z]
+    v = rho[..., idx[None, :], idx[None, :] ^ idx[:, None]]  # v[x, i] = rho[i, i ^ x]
+    v = v.astype(complex, copy=False) @ had
+    out = v[..., x, z]
+    out *= sign
+    return out
 
 
 def from_moments(coeffs: np.ndarray, n: int) -> np.ndarray:
-    """Reconstruct 2^-n sum_J c_J gamma_J from a moment table."""
+    """Reconstruct 2^-n sum_J c_J gamma_J from a moment table, or from a stack (..., 4^n)."""
     phase, x, z = _basis_paulis(n)
     had, _ = _moment_transform(n)
     d = 1 << n
-    a = np.empty((d, d), dtype=complex)
-    a[x, z] = coeffs * phase
-    b = (a @ had) / d  # b[x, i] = 2^-n sum_z a[x, z] (-1)^{i.z}
+    a = np.empty(coeffs.shape[:-1] + (d, d), dtype=complex)
+    a[..., x, z] = coeffs * phase
+    b = a @ had  # b[x, i] = 2^-n sum_z a[x, z] (-1)^{i.z}
+    b /= d
     idx = np.arange(d)
-    rho = np.empty((d, d), dtype=complex)
-    rho[idx[None, :] ^ idx[:, None], idx[None, :]] = b
-    return rho
+    a[..., idx[None, :] ^ idx[:, None], idx[None, :]] = b  # a's entries are all read: reuse it
+    return a
 
 
 def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
@@ -226,26 +253,30 @@ def _clamped_spectrum(rho: np.ndarray) -> np.ndarray:
     return np.clip(w, 0.0, 1.0)
 
 
-def entropy(rho: np.ndarray, alpha: float = 1.0) -> float:
-    """Renyi entropy S_alpha in nats; alpha=1 is von Neumann, 0 log-rank, inf min-entropy."""
+def entropy(rho: np.ndarray, alpha: float = 1.0):
+    """Renyi entropy S_alpha in nats; alpha=1 is von Neumann, 0 log-rank, inf min-entropy.
+
+    A float for one state, an array of them for a stack (..., d, d).
+    """
     if alpha < 0:
         raise ValueError("Renyi order must be nonnegative")
     w = _clamped_spectrum(rho)
     if alpha == 1.0:
-        wz = w[w > 0]
-        return float(-np.dot(wz, np.log(wz)))
+        return per_state(-np.sum(w * np.log(np.where(w > 0, w, 1.0)), axis=-1))
     if alpha == 0.0:
-        return float(math.log(int(np.count_nonzero(w > EPS_RANK))))
+        return per_state(np.log(np.count_nonzero(w > EPS_RANK, axis=-1)))
     if math.isinf(alpha):
-        return float(-math.log(w.max()))
-    return float(math.log(np.sum(w**alpha)) / (1.0 - alpha))
+        return per_state(-np.log(w.max(axis=-1)))
+    return per_state(np.log(np.sum(w**alpha, axis=-1)) / (1.0 - alpha))
 
 
-def is_even(a: np.ndarray, eps: float = EPS_EVEN) -> bool:
-    """Whether A commutes with the parity operator Z^{(x)n}."""
-    n = num_qubits(a)
-    p = parity_operator(n)
-    return l2_norm(a @ p - p @ a) <= eps
+def is_even(a: np.ndarray, eps: float = EPS_EVEN):
+    """Whether A commutes with the parity operator Z^{(x)n}; one bool per state of a stack."""
+    n = stack_qubits(a)
+    z = 1.0 - 2.0 * (popcounts(n) & 1)
+    # [A, Z]_ij = A_ij (z_j - z_i), under the normalized norm of l2_norm
+    comm = np.linalg.norm(a * (z[None, :] - z[:, None]), axis=(-2, -1)) / math.sqrt(1 << n)
+    return per_state(comm <= eps, bool)
 
 
 def relative_entropy(rho: np.ndarray, sigma: np.ndarray, support_eps: float = 1e-9) -> float:

@@ -39,18 +39,23 @@ def conv_unitary(theta: float, n: int) -> np.ndarray:
 
 def convolve_moments(xi_rho: GrassmannPoly, xi_sigma: GrassmannPoly,
                      theta: float = DEFAULT_THETA) -> GrassmannPoly:
-    """Moment-domain convolution: Xi_out(eta) = Xi_rho(cos(theta) eta) Xi_sigma(sin(theta) eta)."""
-    return grassmann.g_mul(grassmann.contract(xi_rho, math.cos(theta)),
-                           grassmann.contract(xi_sigma, math.sin(theta)))
+    """Moment-domain convolution: Xi_out(eta) = Xi_rho(cos(theta) eta) Xi_sigma(sin(theta) eta).
+
+    Contraction is multiplicative, contract(p q, a) = contract(p, a) contract(q, a),
+    so with |sin| <= |cos| this is contract(Xi_rho Xi_sigma(tan(theta) eta), cos(theta)),
+    and the other way round otherwise: one contracted copy of an input, not two.
+    """
+    c, s = math.cos(theta), math.sin(theta)
+    if abs(s) <= abs(c):
+        return grassmann.contract(grassmann.g_mul(xi_rho, grassmann.contract(xi_sigma, s / c)), c)
+    return grassmann.contract(grassmann.g_mul(grassmann.contract(xi_rho, c / s), xi_sigma), s)
 
 
 def convolve(rho: np.ndarray, sigma: np.ndarray, theta: float = DEFAULT_THETA) -> np.ndarray:
     """rho boxtimes_theta sigma = Tr_2[W_theta (rho ox sigma) W_theta^dag] of two even states."""
     if rho.shape != sigma.shape:
         raise ValueError("states live on different mode counts")
-    clifford.assert_even_state(rho)
-    clifford.assert_even_state(sigma)
-    xi = convolve_moments(grassmann.fourier(rho), grassmann.fourier(sigma), theta)
+    xi = convolve_moments(grassmann.even_fourier(rho), grassmann.even_fourier(sigma), theta)
     return grassmann.inverse_fourier(xi)
 
 
@@ -79,10 +84,9 @@ def iterate_conv(rho: np.ndarray, k: int) -> np.ndarray:
     """
     if k < 0:
         raise ValueError("iteration order must be nonnegative")
-    clifford.assert_even_state(rho)
+    xi = grassmann.even_fourier(rho)
     if k == 0:
         return rho
-    xi = grassmann.fourier(rho)
     for _ in range(k):
         xi = convolve_moments(xi, xi)
     return grassmann.inverse_fourier(xi)
@@ -103,10 +107,9 @@ def iterate_conv_linear(rho: np.ndarray, m: int) -> np.ndarray:
     """
     if m < 1:
         raise ValueError("copy count must be positive")
-    clifford.assert_even_state(rho)
+    xi = grassmann.even_fourier(rho)
     if m == 1:
         return rho
-    xi = grassmann.fourier(rho)
     out = xi
     for j in range(1, m):
         out = convolve_moments(out, xi, math.acos(math.sqrt(j / (j + 1))))

@@ -4,7 +4,8 @@ Gaussian states are synthesized from their moment polynomial, the Grassmann
 exponential of the covariance form, rather than from
 exp(i/2 gamma^T h gamma): the quadratic-Hamiltonian parameterization
 degenerates for pure states (nu -> inf) while the Wick route is exact at
-|lambda| = 1.
+|lambda| = 1.  covariance, gaussian_from_covariance and gaussification also
+take a stack of states or covariances and act on each.
 """
 
 from __future__ import annotations
@@ -21,21 +22,26 @@ EPS_CONTRACT = 1e-9
 
 
 def _check_antisymmetric(m: np.ndarray, eps: float = EPS_ANTISYM) -> None:
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    """Raise unless m, or every matrix of a stack (..., d, d), is antisymmetric."""
+    if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
         raise ValueError("expected a square matrix")
-    if m.size and np.abs(m + m.T).max() > eps:
+    if m.size and np.abs(m + m.swapaxes(-1, -2)).max() > eps:
         raise ValueError("matrix is not antisymmetric within tolerance")
 
 
 def covariance(rho: np.ndarray) -> np.ndarray:
     """Covariance matrix Sigma_jk = (i/2) Tr(rho [gamma_j, gamma_k]) of a state."""
-    n = clifford.num_qubits(rho)
-    mom = clifford.moments(rho)
-    j, k = np.triu_indices(2 * n, 1)
-    sigma = np.zeros((2 * n, 2 * n))
+    return _covariance(clifford.moments(rho))
+
+
+def _covariance(mom: np.ndarray) -> np.ndarray:
+    """The covariance matrix read off a moment table (..., 4^n)."""
+    m = mom.shape[-1].bit_length() - 1
+    j, k = np.triu_indices(m, 1)
+    sigma = np.zeros(mom.shape[:-1] + (m, m))
     # for j != k: Sigma_jk = -i Tr((gamma_j gamma_k)^dag rho)
-    sigma[j, k] = np.real(-1j * mom[(1 << j) | (1 << k)])
-    return sigma - sigma.T
+    sigma[..., j, k] = np.real(-1j * mom[..., (1 << j) | (1 << k)])
+    return sigma - sigma.swapaxes(-1, -2)
 
 
 @dataclass(frozen=True)
@@ -146,25 +152,28 @@ def gaussian_from_covariance(sigma: np.ndarray) -> np.ndarray:
     operator in this convention.
     """
     _check_antisymmetric(sigma)
-    n = sigma.shape[0] // 2
-    ev = np.linalg.eigvalsh(sigma.T @ sigma)
+    n = sigma.shape[-1] // 2
+    ev = np.linalg.eigvalsh(sigma.swapaxes(-1, -2) @ sigma)
     if ev.max() > 1.0 + EPS_CONTRACT:
         raise ValueError("covariance violates Sigma^T Sigma <= I")
+    return grassmann.inverse_fourier(grassmann.g_exp(_covariance_form(sigma, n)))
+
+
+def _covariance_form(sigma: np.ndarray, n: int) -> grassmann.GrassmannPoly:
+    """The quadratic form i sum_{j<k} Sigma_jk eta_j eta_k over 2n generators."""
     j, k = np.triu_indices(2 * n, 1)
-    quad = np.zeros(1 << (2 * n), dtype=complex)
-    quad[(1 << j) | (1 << k)] = 1j * sigma[j, k]
-    return grassmann.inverse_fourier(grassmann.g_exp(grassmann.GrassmannPoly(2 * n, quad)))
+    quad = np.zeros(sigma.shape[:-2] + (1 << (2 * n),), dtype=complex)
+    quad[..., (1 << j) | (1 << k)] = 1j * sigma[..., j, k]
+    return grassmann.GrassmannPoly(2 * n, quad)
 
 
 def gaussification(rho: np.ndarray) -> np.ndarray:
     """Gaussian state with the same covariance as the even state rho."""
-    clifford.assert_even_state(rho)
-    sigma = covariance(rho)
-    # rounding can push Sigma^T Sigma marginally past I; renormalize if so
-    ev = np.linalg.eigvalsh(sigma.T @ sigma)
-    if ev.max() > 1.0:
-        sigma = sigma / math.sqrt(min(ev.max(), 1.0 + EPS_CONTRACT))
-    return gaussian_from_covariance(sigma)
+    sigma = _covariance(grassmann.even_fourier(rho).coeffs)
+    # rounding can push Sigma^T Sigma marginally past I; renormalize where it does
+    ev = np.linalg.eigvalsh(sigma.swapaxes(-1, -2) @ sigma).max(axis=-1)
+    return gaussian_from_covariance(
+        sigma / np.sqrt(np.clip(ev, 1.0, 1.0 + EPS_CONTRACT))[..., None, None])
 
 
 def quadratic_hamiltonian(h: np.ndarray, n: int) -> np.ndarray:

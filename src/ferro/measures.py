@@ -1,4 +1,9 @@
-"""Scalar non-Gaussianity quantities: weights, entropic measures, CLT bounds."""
+"""Scalar non-Gaussianity quantities: weights, entropic measures, CLT bounds.
+
+assert_pure, ng_entropies, ng_relative_entropy, cumulant_weights and
+polynomial_weights also take a stack of states (or of cumulant polynomials)
+and give one value per state where they give a float for one state.
+"""
 
 from __future__ import annotations
 
@@ -34,40 +39,42 @@ def polynomial_weights(psi: grassmann.GrassmannPoly):
     super-quadratic mass, K_total = sum_j j K_j.
     """
     m = psi.generators
-    k = np.zeros(m + 1)
-    np.add.at(k, clifford.popcounts(m), np.abs(psi.coeffs) ** 2)
-    k[0] = 0.0  # constant term log 1 = 0; guard against rounding
-    k_g = float(k[2]) if m >= 2 else 0.0
-    k_m = float(k[4:].sum())
-    k_total = float(np.dot(np.arange(m + 1), k))
-    return k, k_g, k_m, k_total
+    w = np.abs(psi.coeffs) ** 2
+    k = np.zeros(w.shape[:-1] + (m + 1,))
+    # degree by degree over the last axis, in mask order
+    np.add.at(np.moveaxis(k, -1, 0), clifford.popcounts(m), np.moveaxis(w, -1, 0))
+    k[..., 0] = 0.0  # constant term log 1 = 0; guard against rounding
+    k_g = k[..., 2] if m >= 2 else np.zeros(k.shape[:-1])
+    k_m = k[..., 4:].sum(axis=-1)
+    k_total = k @ np.arange(m + 1.0)
+    return k, clifford.per_state(k_g), clifford.per_state(k_m), clifford.per_state(k_total)
 
 
-def ng_relative_entropy(rho: np.ndarray) -> float:
+def ng_relative_entropy(rho: np.ndarray):
     """Relative entropy of non-Gaussianity S(G(rho)) - S(rho) of an even state."""
     g = gaussian.gaussification(rho)
     val = clifford.entropy(g) - clifford.entropy(rho)
-    return max(val, 0.0)
+    return clifford.per_state(np.maximum(val, 0.0))
 
 
 def assert_pure(psi: np.ndarray) -> None:
-    """Check Tr psi^2 = 1 within EPS_PURE for a state psi."""
-    purity = float(np.real(np.trace(psi @ psi)))
-    if abs(purity - 1.0) > EPS_PURE:
+    """Check Tr psi^2 = 1 within EPS_PURE for a state psi, or for every state of a stack."""
+    purity = np.real(np.trace(psi @ psi, axis1=-2, axis2=-1))
+    if np.any(np.abs(purity - 1.0) > EPS_PURE):
         raise ValueError("input is not pure within tolerance")
 
 
-def ng_entropies(psi: np.ndarray, kmax: int, alpha: float = 1.0) -> list[float]:
+def ng_entropies(psi: np.ndarray, kmax: int, alpha: float = 1.0) -> list:
     """Non-Gaussian entropies S_alpha(boxtimes^k psi) for k = 1..kmax of a pure even state.
 
     The doubling iterates stay moment polynomials, as in iterate_conv; each
-    becomes a matrix only for its entropy.
+    becomes a matrix only for its entropy.  For a stack of states, entry k-1
+    is the array of S_alpha(boxtimes^k psi) over the stack.
     """
     if kmax < 1:
         raise ValueError("order k must be >= 1")
-    clifford.assert_even_state(psi)
+    xi = grassmann.even_fourier(psi)
     assert_pure(psi)
-    xi = grassmann.fourier(psi)
     out = []
     for _ in range(kmax):
         xi = convolution.convolve_moments(xi, xi)

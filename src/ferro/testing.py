@@ -23,6 +23,11 @@ class StateTestResult:
     p_accept: float
     is_gaussian: bool
 
+    @property
+    def margin(self) -> float:
+        """Distance from the Gaussian verdict, 1 - p_accept: Gaussian iff margin <= eps."""
+        return 1.0 - self.p_accept
+
 
 @dataclass(frozen=True)
 class UnitaryTestResult:
@@ -42,9 +47,8 @@ def gaussian_state_test(psi: np.ndarray, eps: float = EPS_TEST) -> StateTestResu
     fermionic Gaussian.  The overlap is read in the moment domain, by
     Parseval: Tr psi c = 2^-n Re sum_J conj(psi_J) c_J.
     """
-    clifford.assert_even_state(psi)
+    xi = grassmann.even_fourier(psi)
     measures.assert_pure(psi)
-    xi = grassmann.fourier(psi)
     conv = convolution.convolve_moments(xi, xi)
     overlap = float(np.real(np.vdot(xi.coeffs, conv.coeffs))) / psi.shape[0]
     p = 0.5 * (1.0 + overlap)
@@ -134,7 +138,7 @@ def gaussian_unitary_test(u: np.ndarray, engine: str = "cumulant",
         return UnitaryTestResult(is_gaussian=False, reason="not-even", engine=engine)
     if engine == "dense":
         res = gaussian_state_test(choi_state(u), eps=eps)
-        ok, margin = res.is_gaussian, 1.0 - res.p_accept
+        ok, margin = res.is_gaussian, res.margin
     else:
         r = choi_covariance_block(u)
         margin = float(np.max(1.0 - np.sum(r * r, axis=1)))

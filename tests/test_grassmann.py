@@ -294,3 +294,104 @@ def test_g_mul_memory_16_generators(rng):
     finally:
         tracemalloc.stop()
     assert peak <= 6e6
+
+
+def parity_poly(rng, gens, parity, terms=None):
+    """Random polynomial of one parity (0 even, 1 odd, None mixed): dense, or `terms` monomials."""
+    if terms is not None:
+        return sparse_poly(rng, gens, terms, parity)
+    coeffs = complex_array(rng, 1 << gens)
+    if parity is not None:
+        coeffs[grassmann.popcounts(gens) % 2 != parity] = 0.0
+    return GrassmannPoly(gens, coeffs)
+
+
+PARITY_PAIRS = [(0, 0), (0, 1), (1, 0), (1, 1), (None, 0), (None, None)]
+
+
+def parity_id(parities):
+    return "x".join({0: "even", 1: "odd", None: "mixed"}[x] for x in parities)
+
+
+@pytest.mark.parametrize("gens", [2, 4, 6, 8, 10, 12])
+@pytest.mark.parametrize("parities", PARITY_PAIRS, ids=parity_id)
+def test_g_mul_parity_blocks_match_oracle(gens, parities):
+    """Every parity combination of the factors, dense up to 6 generators and sparse above."""
+    rng = np.random.default_rng(gens * 31 + PARITY_PAIRS.index(parities))
+    terms = None if gens <= 6 else 30
+    p, q = (parity_poly(rng, gens, parity, terms) for parity in parities)
+    got = grassmann.g_mul(p, q)
+    assert_matches(got, compute_reference.g_mul_dict(to_dict(p), to_dict(q)))
+    if None not in parities:  # the product of parts of definite parity has their summed parity
+        odd = grassmann.popcounts(gens) % 2 != sum(parities) % 2
+        assert not got.coeffs[odd].any()
+
+
+@pytest.mark.parametrize("parities", PARITY_PAIRS[:4], ids=parity_id)
+def test_g_mul_parity_blocks_in_a_tall_stack(parities):
+    """A stack tall enough to split its rows at the base case, against the oracle row by row."""
+    rng = np.random.default_rng(PARITY_PAIRS.index(parities))
+    rows, gens = 70, 8
+    p, q = (GrassmannPoly(gens, np.stack([sparse_poly(rng, gens, 12, parity).coeffs
+                                          for _ in range(rows)])) for parity in parities)
+    got = grassmann.g_mul(p, q)
+    assert got.coeffs.shape == (rows, 1 << gens)
+    for r in range(rows):
+        pr, qr = (GrassmannPoly(gens, x.coeffs[r]) for x in (p, q))
+        assert_matches(GrassmannPoly(gens, got.coeffs[r]),
+                       compute_reference.g_mul_dict(to_dict(pr), to_dict(qr)))
+
+
+@pytest.mark.parametrize("rows", [1, 70])
+def test_g_mul_keeps_a_tiny_odd_part(rng, rows):
+    """A lone 1e-300 odd coefficient lights the odd blocks: it is multiplied, never dropped."""
+    gens, mask = 8, 0b1011
+    even = parity_poly(rng, gens, 0).coeffs
+    p = np.stack([even] * rows)
+    p[-1, mask] = 1e-300
+    q = GrassmannPoly(gens, np.stack([parity_poly(rng, gens, 0).coeffs] * rows))
+    got = grassmann.g_mul(GrassmannPoly(gens, p), q).coeffs[-1]
+    q_row = GrassmannPoly(gens, q.coeffs[-1])
+    want_even = grassmann.g_mul(GrassmannPoly(gens, even), q_row).coeffs
+    want_odd = 1e-300 * grassmann.g_mul(GrassmannPoly.monomial(gens, mask), q_row).coeffs
+    odd = grassmann.popcounts(gens) % 2 == 1
+    assert np.abs(got[odd]).max() > 0
+    assert np.abs(got[odd] - want_odd[odd]).max() <= 1e-12 * np.abs(want_odd).max()
+    assert np.abs(got[~odd] - want_even[~odd]).max() <= 1e-12 * np.abs(want_even).max()
+    # and the same as the product that reads every block
+    dense = np.zeros((rows, 1 << gens), dtype=complex)
+    grassmann._mul_into(p, q.coeffs, dense, False, 1.0, 0b11, 0b11)
+    assert np.abs(got - dense[-1]).max() <= 1e-12 * np.abs(dense).max()
+    assert np.abs(got[odd] - dense[-1][odd]).max() <= 1e-12 * np.abs(want_odd).max()
+
+
+def test_stacked_polynomials_match_rows(rng):
+    """g_mul, g_exp, g_log and contract act on each polynomial of a stack, to 1e-14."""
+    gens, rows = 8, 5
+    pc = grassmann.popcounts(gens)
+    x = complex_array(rng, (rows, 1 << gens)) * 0.2
+    x[:, pc % 2 == 1] = 0.0
+    x[:, 0] = 0.0
+    y = complex_array(rng, (rows, 1 << gens))
+    p, q = GrassmannPoly(gens, x), GrassmannPoly(gens, y)
+    one_plus = GrassmannPoly(gens, x + (pc == 0))
+    stacked = {
+        "g_mul": grassmann.g_mul(p, q),
+        "g_exp": grassmann.g_exp(p),
+        "g_log": grassmann.g_log(one_plus),
+        "contract": grassmann.contract(q, 0.3 - 0.2j),
+    }
+    for r in range(rows):
+        pr, qr = GrassmannPoly(gens, x[r]), GrassmannPoly(gens, y[r])
+        single = {
+            "g_mul": grassmann.g_mul(pr, qr),
+            "g_exp": grassmann.g_exp(pr),
+            "g_log": grassmann.g_log(GrassmannPoly(gens, one_plus.coeffs[r])),
+            "contract": grassmann.contract(qr, 0.3 - 0.2j),
+        }
+        for name, poly in stacked.items():
+            assert np.abs(poly.coeffs[r] - single[name].coeffs).max() < 1e-14, name
+    # a single polynomial broadcasts against a stack
+    bq = grassmann.g_mul(GrassmannPoly(gens, y[0]), p)
+    assert np.abs(bq.coeffs[2] - grassmann.g_mul(GrassmannPoly(gens, y[0]),
+                                                 GrassmannPoly(gens, x[2])).coeffs).max() < 1e-14

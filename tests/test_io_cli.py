@@ -76,6 +76,52 @@ def test_cli_test_state_reports(tmp_path, capsys):
     assert "verdict: gaussian" in capsys.readouterr().out
 
 
+def test_cli_test_state_prints_margin(tmp_path, capsys):
+    """The csv line carries margin = 1 - p_accept, empty when the not-even check decides."""
+    f = tmp_path / "psi.txt"
+    for vec, gaussian in ((states.magic_state_vector(math.pi), False),
+                          (np.array([1.0 + 0j, 0, 0, 0]), True)):
+        f.write_text(io.write_array(vec))
+        assert cli.main(["test-state", str(f)]) == 0
+        out = capsys.readouterr().out
+        fields = dict(kv.split("=") for kv in out.splitlines()[-1].split(",")[1:])
+        p_accept, margin = float(fields["p_accept"]), float(fields["margin"])
+        assert margin == 1.0 - p_accept
+        assert (margin <= 1e-7) == gaussian == (fields["gaussian"] == "1")
+    f.write_text(io.write_array(np.array([1.0, 1.0, 0, 0], dtype=complex)))  # both parities
+    assert cli.main(["test-state", str(f)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].endswith(",reason=not-even,margin=")
+
+
+def test_cli_sweeps_compute_columns(tmp_path, monkeypatch):
+    """fig2 runs its grid as one stack: 4 doublings and 3 Gaussification products, any grid."""
+    from ferro import grassmann
+
+    calls = []
+    g_mul = grassmann.g_mul
+    monkeypatch.setattr(grassmann, "g_mul", lambda p, q: calls.append(1) or g_mul(p, q))
+    for grid in (3, 9):
+        calls.clear()
+        assert cli.main(["fig2", "--kmax", "4", "--grid", str(grid),
+                         "--out", str(tmp_path / "f.csv")]) == 0
+        assert len(calls) == 7
+
+
+def test_cli_fig2_memory(tmp_path):
+    """The stacked sweep stays on the recursive product: no rows x 3^8 pair table."""
+    import tracemalloc
+
+    argv = ["fig2", "--kmax", "4", "--grid", "67", "--out", str(tmp_path / "f.csv")]
+    assert cli.main(argv) == 0  # fills the kernel's cached tables
+    tracemalloc.start()
+    try:
+        assert cli.main(argv) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5e6
+
+
 def test_cli_test_unitary_reports(tmp_path, capsys):
     f = tmp_path / "cz.txt"
     f.write_text(io.write_array(np.diag([1, 1, 1, -1]).astype(complex)))
@@ -246,13 +292,14 @@ def test_clt_computes_cumulants_once(tmp_path, monkeypatch, engine):
     from ferro import grassmann
 
     calls = []
-    cumulants = grassmann.cumulants
+    cumulants = grassmann.cumulants_from_moments
 
     def counted(*args, **kwargs):
         calls.append(1)
         return cumulants(*args, **kwargs)
 
-    monkeypatch.setattr(grassmann, "cumulants", counted)
+    # grassmann.cumulants(rho) also goes through cumulants_from_moments
+    monkeypatch.setattr(grassmann, "cumulants_from_moments", counted)
     f = tmp_path / "psi.txt"
     f.write_text(io.write_array(states.magic_state_vector(2.0)))
     out = tmp_path / "c.csv"

@@ -35,6 +35,7 @@ NOT_A_STATE = np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex)
 
 EVEN_ONLY = {
     "grassmann.cumulants": grassmann.cumulants,
+    "grassmann.even_fourier": grassmann.even_fourier,
     "gaussian.gaussification": gaussian.gaussification,
     "convolution.convolve[rho]": lambda r: convolution.convolve(r, np.eye(4) / 4),
     "convolution.convolve[sigma]": lambda r: convolution.convolve(np.eye(4) / 4, r),
@@ -97,3 +98,48 @@ def test_convolve_is_the_moment_product(rng):
     assert np.abs(grassmann.fourier(out).coeffs - xi.coeffs).max() < 1e-12
     half = convolution.convolve_moments(xi, xi, math.pi / 2)
     assert np.abs(half.coeffs - xi.coeffs).max() < 1e-12  # theta = pi/2 keeps the second factor
+
+
+def count_state_checks(monkeypatch):
+    calls = []
+    assert_state = clifford.assert_state
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return assert_state(*args, **kwargs)
+
+    monkeypatch.setattr(clifford, "assert_state", counted)
+    return calls
+
+
+ONCE = {
+    "grassmann.cumulants": grassmann.cumulants,
+    "gaussian.gaussification": gaussian.gaussification,
+    "measures.ng_entropies": lambda r: measures.ng_entropies(r, 3),
+    "measures.ng_relative_entropy": measures.ng_relative_entropy,
+    "measures.cumulant_weights": measures.cumulant_weights,
+    "testing.gaussian_state_test": testing.gaussian_state_test,
+    "convolution.iterate_conv": lambda r: convolution.iterate_conv(r, 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ONCE))
+def test_validates_once(monkeypatch, name):
+    """Validate, then take the moment table through the unchecked transform."""
+    from ferro import states
+
+    calls = count_state_checks(monkeypatch)
+    ONCE[name](states.magic_state(2.0))
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("engine", ["dense", "cumulant"])
+def test_clt_validates_once(tmp_path, monkeypatch, engine):
+    """clt reads one moment table and derives the iterates and the cumulants from it."""
+    from ferro import cli, io, states
+
+    f = tmp_path / "psi.txt"
+    f.write_text(io.write_array(states.magic_state_vector(2.0)))
+    calls = count_state_checks(monkeypatch)
+    assert cli.main(["clt", str(f), "--engine", engine, "--out", str(tmp_path / "c.csv")]) == 0
+    assert len(calls) == 1
