@@ -8,20 +8,10 @@ n+m next to mode m without disturbing the Jordan-Wigner strings.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass, field
 
-import numpy as np
-
 GATE_NAMES = ("x", "h", "s", "sdg", "rz", "cz", "swap")
-
-_SINGLE = {
-    "x": np.array([[0, 1], [1, 0]], dtype=complex),
-    "h": np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2),
-    "s": np.array([[1, 0], [0, 1j]], dtype=complex),
-    "sdg": np.array([[1, 0], [0, -1j]], dtype=complex),
-}
 
 
 @dataclass(frozen=True)
@@ -50,38 +40,6 @@ class GateList:
             if not 0 <= t < self.qubits:
                 raise ValueError(f"target {t} out of range for {self.qubits} qubits")
         self.gates.append(Gate(name, tuple(targets), param))
-
-
-def _gate_matrix(g: Gate, nq: int) -> np.ndarray:
-    d = 1 << nq
-    if g.name in _SINGLE or g.name == "rz":
-        if g.name == "rz":
-            # exp(-i theta Z / 2)
-            m2 = np.diag([np.exp(-1j * g.param / 2), np.exp(1j * g.param / 2)])
-        else:
-            m2 = _SINGLE[g.name]
-        q = g.targets[0]
-        return np.kron(np.kron(np.eye(1 << q), m2), np.eye(1 << (nq - 1 - q)))
-    p, q = g.targets
-    bp, bq = nq - 1 - p, nq - 1 - q  # qubit 0 is the most significant bit
-    idx = np.arange(d)
-    if g.name == "cz":
-        signs = np.where(((idx >> bp) & 1) & ((idx >> bq) & 1), -1.0, 1.0)
-        return np.diag(signs).astype(complex)
-    # swap: exchange the two bits
-    vp = (idx >> bp) & 1
-    vq = (idx >> bq) & 1
-    out = idx ^ ((vp ^ vq) << bp) ^ ((vp ^ vq) << bq)
-    m = np.zeros((d, d), dtype=complex)
-    m[out, idx] = 1.0
-    return m
-
-
-def gate_list_to_unitary(g: GateList) -> np.ndarray:
-    u = np.eye(1 << g.qubits, dtype=complex)
-    for gate in g.gates:
-        u = _gate_matrix(gate, g.qubits) @ u
-    return u
 
 
 def _zz_rotation(gl: GateList, a: int, b: int, phi: float) -> None:
@@ -164,11 +122,3 @@ def parse_netlist(text: str) -> GateList:
         else:
             gl.append(name, *[int(t) for t in parts[1:]])
     return gl
-
-
-def phase_invariant_distance(u: np.ndarray, v: np.ndarray) -> float:
-    """min over phases of the normalized Frobenius distance between u and e^{i phi} v."""
-    d = u.shape[0]
-    ovl = np.trace(u.conj().T @ v) / d
-    phase = ovl / abs(ovl) if abs(ovl) > 1e-14 else 1.0
-    return float(np.linalg.norm(u - phase * v)) / math.sqrt(d)

@@ -105,14 +105,13 @@ def cmd_test_state(args) -> int:
     _check_modes(arr, MAX_STATE_MODES)
     rho = _density(arr, kind)
     try:
-        clifford.assert_state(rho)
+        even = testing.even_state_test(rho)  # validates rho first
     except ValueError as e:
         raise CliError("E_NOT_A_STATE", str(e)) from None
     try:
         measures.assert_pure(rho)
     except ValueError as e:
         raise CliError("E_NOT_PURE", str(e)) from None
-    even = testing.even_state_test(rho)
     if not even:
         print("even: no")
         print("verdict: non-gaussian")

@@ -45,7 +45,7 @@ def per_state(values: np.ndarray, kind=float):
     return kind(values) if np.ndim(values) == 0 else values
 
 
-def assert_state(rho: np.ndarray, eps: float = EPS_PSD) -> None:
+def assert_state(rho: np.ndarray) -> None:
     """Check finiteness, Hermiticity, unit trace and positivity up to tolerance.
 
     rho may be a stack (..., d, d); it fails if any of its states fails.
@@ -57,7 +57,7 @@ def assert_state(rho: np.ndarray, eps: float = EPS_PSD) -> None:
         raise ValueError("state is not Hermitian")
     if np.any(np.abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0) > 1e-8):
         raise ValueError("state trace differs from 1")
-    if np.linalg.eigvalsh(rho).min() < -eps:
+    if np.linalg.eigvalsh(rho).min() < -EPS_PSD:
         raise ValueError("state has a negative eigenvalue beyond tolerance")
 
 
@@ -68,13 +68,13 @@ def assert_even_state(rho: np.ndarray) -> None:
         raise ValueError("state is not even")
 
 
-def assert_unitary(u: np.ndarray, eps: float = EPS_UNITARY) -> None:
+def assert_unitary(u: np.ndarray) -> None:
     n = num_qubits(u)
     if not np.isfinite(u).all():
         raise ValueError("matrix has non-finite entries")
     d = 1 << n
     res = np.linalg.norm(u.conj().T @ u - np.eye(d)) / math.sqrt(d)
-    if res > eps:
+    if res > EPS_UNITARY:
         raise ValueError("matrix is not unitary within tolerance")
 
 
@@ -169,14 +169,6 @@ def majorana(j: int, n: int) -> np.ndarray:
     return _majorana_cached(j, n)
 
 
-def majorana_product(mask: int, n: int) -> np.ndarray:
-    """gamma_J for the bitmask J (bit j-1 set means gamma_j participates)."""
-    if mask >> (2 * n):
-        raise ValueError(f"index mask {mask:#x} exceeds 2n = {2 * n} bits")
-    phase, x, z = _basis_paulis(n)
-    return _pauli_matrix(phase[mask], int(x[mask]), int(z[mask]), n)
-
-
 def parity_operator(n: int) -> np.ndarray:
     """Z^{(x)n}, proportional to the full Majorana product."""
     return np.diag(1.0 - 2.0 * (popcounts(n) & 1)).astype(complex)
@@ -215,35 +207,17 @@ def from_moments(coeffs: np.ndarray, n: int) -> np.ndarray:
     return a
 
 
-def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
-    """Normalized Hilbert-Schmidt inner product 2^-n Tr(A^dag B)."""
-    if a.shape != b.shape:
-        raise ValueError("operator dimensions differ")
-    n = num_qubits(a)
-    return complex(np.trace(a.conj().T @ b) / (1 << n))
-
-
-def l2_norm(a: np.ndarray) -> float:
-    """Normalized L2 norm sqrt(2^-n Tr A^dag A)."""
-    n = num_qubits(a)
-    return float(np.linalg.norm(a)) / math.sqrt(1 << n)
-
-
 def partial_trace_second(a: np.ndarray) -> np.ndarray:
-    """Trace out the last n of 2n qubits."""
+    """Trace out the last n of 2n qubits.
+
+    No runtime path calls it; it stays while the benchmark names it as a
+    per-layer metric (ROADMAP item 2).
+    """
     q = num_qubits(a)
     if q % 2:
         raise ValueError("partial trace over the second half needs an even qubit count")
     d = 1 << (q // 2)
     return np.einsum("ikjk->ij", a.reshape(d, d, d, d))
-
-
-def partial_trace_first(a: np.ndarray) -> np.ndarray:
-    q = num_qubits(a)
-    if q % 2:
-        raise ValueError("partial trace over the first half needs an even qubit count")
-    d = 1 << (q // 2)
-    return np.einsum("kikj->ij", a.reshape(d, d, d, d))
 
 
 def _clamped_spectrum(rho: np.ndarray) -> np.ndarray:
@@ -270,34 +244,10 @@ def entropy(rho: np.ndarray, alpha: float = 1.0):
     return per_state(np.log(np.sum(w**alpha, axis=-1)) / (1.0 - alpha))
 
 
-def is_even(a: np.ndarray, eps: float = EPS_EVEN):
+def is_even(a: np.ndarray):
     """Whether A commutes with the parity operator Z^{(x)n}; one bool per state of a stack."""
     n = stack_qubits(a)
     z = 1.0 - 2.0 * (popcounts(n) & 1)
-    # [A, Z]_ij = A_ij (z_j - z_i), under the normalized norm of l2_norm
+    # [A, Z]_ij = A_ij (z_j - z_i), under the normalized norm sqrt(2^-n Tr A^dag A)
     comm = np.linalg.norm(a * (z[None, :] - z[:, None]), axis=(-2, -1)) / math.sqrt(1 << n)
-    return per_state(comm <= eps, bool)
-
-
-def relative_entropy(rho: np.ndarray, sigma: np.ndarray, support_eps: float = 1e-9) -> float:
-    """D(rho||sigma) = Tr rho log rho - Tr rho log sigma, in nats.
-
-    Returns +inf when the support of rho leaks outside the support of sigma.
-    """
-    if rho.shape != sigma.shape:
-        raise ValueError("operator dimensions differ")
-    wr, vr = np.linalg.eigh(rho)
-    ws, vs = np.linalg.eigh(sigma)
-    wr = np.clip(wr, 0.0, None)
-    ws = np.clip(ws, 0.0, None)
-    kernel = ws <= support_eps
-    if kernel.any():
-        pk = vs[:, kernel]
-        leak = float(np.real(np.trace(pk.conj().T @ rho @ pk)))
-        if leak > support_eps:
-            return math.inf
-    wz = wr[wr > 0]
-    tr_rho_log_rho = float(np.dot(wz, np.log(wz)))
-    log_sigma = (vs[:, ~kernel] * np.log(ws[~kernel])) @ vs[:, ~kernel].conj().T
-    tr_rho_log_sigma = float(np.real(np.trace(rho @ log_sigma)))
-    return max(tr_rho_log_rho - tr_rho_log_sigma, 0.0)
+    return per_state(comm <= EPS_EVEN, bool)

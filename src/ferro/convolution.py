@@ -8,8 +8,10 @@ output is one Grassmann product of two contracted moment polynomials
 Psi_out = xi_cos Psi_rho + xi_sin Psi_sigma.  States are validated once, on
 entry; iterated convolutions stay moment polynomials until the last
 iterate.  conv_unitary builds the dense
-2n-qubit W_theta on request; no runtime path calls it.  It is the reference
-for the gate compiler's netlists and the test oracle of the channel.
+2n-qubit W_theta on request; no runtime path calls it.  It is the tests'
+oracle of the channel and of the gate compiler's netlists, and it stays in
+the package while the benchmark names it as a per-layer metric (ROADMAP
+item 2).
 """
 
 from __future__ import annotations

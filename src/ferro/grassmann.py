@@ -79,10 +79,6 @@ class GrassmannPoly:
         if self.generators != other.generators:
             raise ValueError("generator counts differ")
 
-    def is_even(self, eps: float = 1e-12) -> bool:
-        odd = popcounts(self.generators) & 1 == 1
-        return bool(np.all(np.abs(self.coeffs[..., odd]) <= eps))
-
 
 # Sizes of the divide-and-conquer product. Polynomials over at most
 # _BASE_GENERATORS generators are multiplied from a table of disjoint pairs;
@@ -267,13 +263,11 @@ def contract(p: GrassmannPoly, alpha: complex) -> GrassmannPoly:
     return GrassmannPoly(p.generators, p.coeffs * powers)
 
 
-def fourier(rho: np.ndarray) -> GrassmannPoly:
-    """Moment-generating polynomial of a state: coefficient at J is Tr(gamma_J^dag rho)."""
-    return GrassmannPoly(2 * clifford.stack_qubits(rho), clifford.moments(rho))
-
-
 def even_fourier(rho: np.ndarray) -> GrassmannPoly:
-    """The fourier transform of an even state, or of a stack of them, validated once."""
+    """Moment-generating polynomial of an even state, or of a stack of them, validated once.
+
+    The coefficient at J is Tr(gamma_J^dag rho).
+    """
     clifford.assert_even_state(rho)
     return GrassmannPoly(2 * clifford.stack_qubits(rho), clifford._moments(rho))
 
@@ -291,7 +285,7 @@ def cumulants(rho: np.ndarray) -> GrassmannPoly:
 
 def cumulants_from_moments(xi: GrassmannPoly) -> GrassmannPoly:
     """log Xi of the moment polynomial Xi of an even state, as even_fourier returns it."""
-    # project out odd-degree rounding noise: it is certified <= eps_even and
+    # project out odd-degree rounding noise: it is certified <= EPS_EVEN and
     # would otherwise be amplified by cumulant scalings downstream
     coeffs = xi.coeffs.copy()
     coeffs[..., popcounts(xi.generators) & 1 == 1] = 0.0

@@ -24,11 +24,3 @@ def magic_state(phi) -> np.ndarray:
     """|v><v| of magic_state_vector(phi); an array of phi gives a stack (..., 16, 16)."""
     v = magic_state_vector(phi)
     return v[..., :, None] * v[..., None, :].conj()
-
-
-def computational_state(bits: str) -> np.ndarray:
-    idx = int(bits, 2)
-    d = 1 << len(bits)
-    rho = np.zeros((d, d), dtype=complex)
-    rho[idx, idx] = 1.0
-    return rho

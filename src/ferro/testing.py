@@ -25,7 +25,7 @@ class StateTestResult:
 
     @property
     def margin(self) -> float:
-        """Distance from the Gaussian verdict, 1 - p_accept: Gaussian iff margin <= eps."""
+        """Distance from the Gaussian verdict, 1 - p_accept: Gaussian iff margin <= EPS_TEST."""
         return 1.0 - self.p_accept
 
 
@@ -34,13 +34,13 @@ class UnitaryTestResult:
     is_gaussian: bool
     reason: str  # "", "not-even" or "choi-not-gaussian"
     engine: str
-    # distance from the Gaussian verdict, Gaussian iff margin <= eps: the
+    # distance from the Gaussian verdict, Gaussian iff margin <= EPS_TEST: the
     # covariance defect max_j (1 - sum_k R_jk^2) for "cumulant", 1 - p_accept
     # for "dense", None when the not-even check decides
     margin: float | None = None
 
 
-def gaussian_state_test(psi: np.ndarray, eps: float = EPS_TEST) -> StateTestResult:
+def gaussian_state_test(psi: np.ndarray) -> StateTestResult:
     """Three-copy protocol: swap test between psi and psi boxtimes psi.
 
     p_accept = (1 + <psi| psi boxtimes psi |psi>)/2; equals 1 iff psi is
@@ -52,20 +52,20 @@ def gaussian_state_test(psi: np.ndarray, eps: float = EPS_TEST) -> StateTestResu
     conv = convolution.convolve_moments(xi, xi)
     overlap = float(np.real(np.vdot(xi.coeffs, conv.coeffs))) / psi.shape[0]
     p = 0.5 * (1.0 + overlap)
-    return StateTestResult(p_accept=p, is_gaussian=bool(p >= 1.0 - eps))
+    return StateTestResult(p_accept=p, is_gaussian=bool(p >= 1.0 - EPS_TEST))
 
 
-def even_state_test(psi: np.ndarray, eps: float = clifford.EPS_EVEN) -> bool:
+def even_state_test(psi: np.ndarray) -> bool:
     """Swap test between psi and Z^n psi Z^n; passes iff psi has definite parity."""
     clifford.assert_state(psi)
     n = clifford.num_qubits(psi)
     z = clifford.parity_operator(n)
     fidelity = float(np.real(np.trace(psi @ (z @ psi @ z))))
     purity = float(np.real(np.trace(psi @ psi)))
-    return bool(fidelity >= purity - eps)
+    return bool(fidelity >= purity - clifford.EPS_EVEN)
 
 
-def even_unitary_test(u: np.ndarray, eps: float = clifford.EPS_EVEN) -> bool:
+def even_unitary_test(u: np.ndarray) -> bool:
     """Passes iff Z^n U|+...+> = U Z^n|+...+>.
 
     The comparison uses Re<a|b>, which is insensitive to a global phase of U
@@ -79,7 +79,7 @@ def even_unitary_test(u: np.ndarray, eps: float = clifford.EPS_EVEN) -> bool:
     signs = 1.0 - 2.0 * (clifford.popcounts(n) & 1)
     a = signs * (u @ plus)
     b = u @ (signs * plus)
-    return bool(np.real(np.vdot(a, b)) >= 1.0 - eps)
+    return bool(np.real(np.vdot(a, b)) >= 1.0 - clifford.EPS_EVEN)
 
 
 def max_entangled_fermionic(n: int) -> np.ndarray:
@@ -118,8 +118,7 @@ def choi_covariance_block(u: np.ndarray) -> np.ndarray:
     return np.einsum("kab,jba->jk", g, ugu).real / (1 << n)
 
 
-def gaussian_unitary_test(u: np.ndarray, engine: str = "cumulant",
-                          eps: float = EPS_TEST) -> UnitaryTestResult:
+def gaussian_unitary_test(u: np.ndarray, engine: str = "cumulant") -> UnitaryTestResult:
     """U is Gaussian iff it is even and its Choi state is Gaussian.
 
     engine: "dense" runs the paper's three-copy swap protocol on the Choi
@@ -137,11 +136,11 @@ def gaussian_unitary_test(u: np.ndarray, engine: str = "cumulant",
     if not even_unitary_test(u):
         return UnitaryTestResult(is_gaussian=False, reason="not-even", engine=engine)
     if engine == "dense":
-        res = gaussian_state_test(choi_state(u), eps=eps)
+        res = gaussian_state_test(choi_state(u))
         ok, margin = res.is_gaussian, res.margin
     else:
         r = choi_covariance_block(u)
         margin = float(np.max(1.0 - np.sum(r * r, axis=1)))
-        ok = margin <= eps
+        ok = margin <= EPS_TEST
     return UnitaryTestResult(is_gaussian=ok, reason="" if ok else "choi-not-gaussian",
                              engine=engine, margin=margin)

@@ -7,6 +7,16 @@ import numpy as np
 import scipy.linalg
 
 from ferro import clifford, convolution, gaussian, grassmann, measures, testing
+from oracles import compute_reference
+
+
+def computational_state(bits):
+    """|b><b| for the computational basis state of a bit string."""
+    idx = int(bits, 2)
+    d = 1 << len(bits)
+    rho = np.zeros((d, d), dtype=complex)
+    rho[idx, idx] = 1.0
+    return rho
 
 
 def random_state(rng, n):
@@ -78,7 +88,7 @@ def quartic_unitary(n, t):
     It maps gamma_1 to gamma_1 (cos 2t - i sin 2t gamma_1 gamma_2 gamma_3 gamma_4),
     whose weight outside span{gamma_k} is sin^2(2t).
     """
-    q = clifford.majorana_product(0b1111, n)
+    q = compute_reference.gamma_prod([1, 2, 3, 4], n)
     return math.cos(t) * np.eye(1 << n) + 1j * math.sin(t) * q
 
 
@@ -109,7 +119,81 @@ def dense_convolve(rho, sigma, theta=convolution.DEFAULT_THETA):
 
 def dense_complementary(rho, sigma, theta=convolution.DEFAULT_THETA):
     """Oracle complementary channel Tr_1[W_theta (rho ox sigma) W_theta^dag]."""
-    return clifford.partial_trace_first(_dense_joint(rho, sigma, theta))
+    d = rho.shape[0]
+    return np.einsum("kikj->ij", _dense_joint(rho, sigma, theta).reshape(d, d, d, d))
+
+
+def relative_entropy(rho, sigma, support_eps=1e-9):
+    """D(rho||sigma) = Tr rho log rho - Tr rho log sigma, in nats.
+
+    Returns +inf when the support of rho leaks outside the support of sigma.
+    """
+    if rho.shape != sigma.shape:
+        raise ValueError("operator dimensions differ")
+    wr, vr = np.linalg.eigh(rho)
+    ws, vs = np.linalg.eigh(sigma)
+    wr = np.clip(wr, 0.0, None)
+    ws = np.clip(ws, 0.0, None)
+    kernel = ws <= support_eps
+    if kernel.any():
+        pk = vs[:, kernel]
+        leak = float(np.real(np.trace(pk.conj().T @ rho @ pk)))
+        if leak > support_eps:
+            return math.inf
+    wz = wr[wr > 0]
+    tr_rho_log_rho = float(np.dot(wz, np.log(wz)))
+    log_sigma = (vs[:, ~kernel] * np.log(ws[~kernel])) @ vs[:, ~kernel].conj().T
+    tr_rho_log_sigma = float(np.real(np.trace(rho @ log_sigma)))
+    return max(tr_rho_log_rho - tr_rho_log_sigma, 0.0)
+
+
+_SINGLE = {
+    "x": np.array([[0, 1], [1, 0]], dtype=complex),
+    "h": np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2),
+    "s": np.array([[1, 0], [0, 1j]], dtype=complex),
+    "sdg": np.array([[1, 0], [0, -1j]], dtype=complex),
+}
+
+
+def _gate_matrix(g, nq):
+    d = 1 << nq
+    if g.name in _SINGLE or g.name == "rz":
+        if g.name == "rz":
+            # exp(-i theta Z / 2)
+            m2 = np.diag([np.exp(-1j * g.param / 2), np.exp(1j * g.param / 2)])
+        else:
+            m2 = _SINGLE[g.name]
+        q = g.targets[0]
+        return np.kron(np.kron(np.eye(1 << q), m2), np.eye(1 << (nq - 1 - q)))
+    p, q = g.targets
+    bp, bq = nq - 1 - p, nq - 1 - q  # qubit 0 is the most significant bit
+    idx = np.arange(d)
+    if g.name == "cz":
+        signs = np.where(((idx >> bp) & 1) & ((idx >> bq) & 1), -1.0, 1.0)
+        return np.diag(signs).astype(complex)
+    # swap: exchange the two bits
+    vp = (idx >> bp) & 1
+    vq = (idx >> bq) & 1
+    out = idx ^ ((vp ^ vq) << bp) ^ ((vp ^ vq) << bq)
+    m = np.zeros((d, d), dtype=complex)
+    m[out, idx] = 1.0
+    return m
+
+
+def gate_list_to_unitary(g):
+    """Oracle: the dense unitary of a netlist, its gates multiplied in order."""
+    u = np.eye(1 << g.qubits, dtype=complex)
+    for gate in g.gates:
+        u = _gate_matrix(gate, g.qubits) @ u
+    return u
+
+
+def phase_invariant_distance(u, v):
+    """min over phases of the normalized Frobenius distance between u and e^{i phi} v."""
+    d = u.shape[0]
+    ovl = np.trace(u.conj().T @ v) / d
+    phase = ovl / abs(ovl) if abs(ovl) > 1e-14 else 1.0
+    return float(np.linalg.norm(u - phase * v)) / math.sqrt(d)
 
 
 def rotate_generators(p, r):

@@ -7,6 +7,8 @@ import pytest
 from ferro import circuits, clifford, convolution
 from ferro.circuits import Gate, GateList
 
+from helpers import gate_list_to_unitary, phase_invariant_distance
+
 DATA = Path(__file__).parent / "data"
 
 
@@ -25,20 +27,20 @@ def test_gate_validation():
 
 
 def test_empty_list_is_identity():
-    assert np.abs(circuits.gate_list_to_unitary(GateList(qubits=2)) - np.eye(4)).max() < 1e-15
+    assert np.abs(gate_list_to_unitary(GateList(qubits=2)) - np.eye(4)).max() < 1e-15
 
 
 def test_swap_matrix():
     gl = GateList(qubits=2)
     gl.append("swap", 0, 1)
     expect = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex)
-    assert np.abs(circuits.gate_list_to_unitary(gl) - expect).max() < 1e-15
+    assert np.abs(gate_list_to_unitary(gl) - expect).max() < 1e-15
 
 
 def test_rz_matrix():
     gl = GateList(qubits=1)
     gl.append("rz", 0, param=0.6)
-    u = circuits.gate_list_to_unitary(gl)
+    u = gate_list_to_unitary(gl)
     expect = np.diag([np.exp(-0.3j), np.exp(0.3j)])
     assert np.abs(u - expect).max() < 1e-12
 
@@ -46,7 +48,7 @@ def test_rz_matrix():
 def test_fswap_exchanges_adjacent_modes():
     gl = GateList(qubits=2)
     circuits._fswap(gl, 0)
-    f = circuits.gate_list_to_unitary(gl)
+    f = gate_list_to_unitary(gl)
     # conjugation exchanges the Majorana pairs of the two modes
     pairs = {1: 3, 2: 4, 3: 1, 4: 2}
     for j, k in pairs.items():
@@ -57,7 +59,7 @@ def test_fswap_exchanges_adjacent_modes():
 def test_fswap_fixes_spectator_modes():
     gl = GateList(qubits=3)
     circuits._fswap(gl, 1)
-    f = circuits.gate_list_to_unitary(gl)
+    f = gate_list_to_unitary(gl)
     for j in (1, 2):  # mode 1 untouched
         lhs = f @ clifford.majorana(j, 3) @ f.conj().T
         assert np.abs(lhs - clifford.majorana(j, 3)).max() < 1e-12
@@ -67,9 +69,9 @@ def test_fswap_fixes_spectator_modes():
 @pytest.mark.parametrize("theta", [math.pi / 6, math.pi / 4, math.pi / 3])
 def test_decomposition_recomposes(n, theta):
     gl = circuits.decompose_conv_unitary(theta, n)
-    u = circuits.gate_list_to_unitary(gl)
+    u = gate_list_to_unitary(gl)
     w = convolution.conv_unitary(theta, n)
-    assert circuits.phase_invariant_distance(w, u) < 1e-9
+    assert phase_invariant_distance(w, u) < 1e-9
 
 
 def test_multi_mode_netlist_contains_swap_gadgets():

@@ -172,11 +172,13 @@ def test_cli_decompose(tmp_path):
                      "--out", str(out)]) == 0
     text = out.read_text()
     assert text.startswith("qubits 2\n")
-    from ferro import circuits, convolution
+    from ferro import circuits
+
+    from helpers import gate_list_to_unitary, phase_invariant_distance
 
     gl = circuits.parse_netlist(text)
-    u = circuits.gate_list_to_unitary(gl)
-    assert circuits.phase_invariant_distance(convolution.conv_unitary(math.pi / 4, 1), u) < 1e-9
+    u = gate_list_to_unitary(gl)
+    assert phase_invariant_distance(convolution.conv_unitary(math.pi / 4, 1), u) < 1e-9
 
 
 

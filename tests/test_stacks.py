@@ -46,16 +46,15 @@ MIXED = {
     "clifford.entropy[inf]": lambda r: clifford.entropy(r, math.inf),
     "clifford.from_moments": lambda r: clifford.from_moments(clifford.moments(r),
                                                            clifford.stack_qubits(r)),
-    "grassmann.fourier": grassmann.fourier,
     "grassmann.even_fourier": grassmann.even_fourier,
     "grassmann.cumulants": grassmann.cumulants,
-    "grassmann.inverse_fourier": lambda r: grassmann.inverse_fourier(grassmann.fourier(r)),
+    "grassmann.inverse_fourier": lambda r: grassmann.inverse_fourier(grassmann.even_fourier(r)),
     "gaussian.covariance": gaussian.covariance,
     "gaussian.gaussification": gaussian.gaussification,
     "gaussian.gaussian_from_covariance":
         lambda r: gaussian.gaussian_from_covariance(gaussian.covariance(r)),
     "convolution.convolve_moments": lambda r: convolution.convolve_moments(
-        grassmann.fourier(r), grassmann.fourier(r), 0.4),
+        grassmann.even_fourier(r), grassmann.even_fourier(r), 0.4),
     "measures.ng_relative_entropy": measures.ng_relative_entropy,
     "measures.cumulant_weights": measures.cumulant_weights,
     "measures.polynomial_weights": lambda r: measures.polynomial_weights(grassmann.cumulants(r)),

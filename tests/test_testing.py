@@ -9,6 +9,7 @@ from ferro import clifford, convolution, gaussian, states, testing
 
 from helpers import (
     choi_super_quadratic_mass,
+    computational_state,
     max_entangled_product,
     parity_block_unitary,
     quartic_unitary,
@@ -25,7 +26,7 @@ TOFFOLI = np.eye(8, dtype=complex)[[0, 1, 2, 3, 4, 5, 7, 6]]
 
 
 def test_state_test_accepts_computational_basis():
-    res = testing.gaussian_state_test(states.computational_state("000"))
+    res = testing.gaussian_state_test(computational_state("000"))
     assert res.is_gaussian and abs(res.p_accept - 1.0) < 1e-12
 
 
@@ -62,7 +63,7 @@ def test_state_test_rejects_mixed_input():
 
 
 def test_even_state_test():
-    assert testing.even_state_test(states.computational_state("1"))
+    assert testing.even_state_test(computational_state("1"))
     plus = np.full((2, 2), 0.5, dtype=complex)
     assert not testing.even_state_test(plus)
 
@@ -88,7 +89,8 @@ def test_max_entangled_state(rng):
         assert abs(np.real(np.trace(rho @ rho)) - 1.0) < 1e-12
         d = 1 << n
         assert np.abs(clifford.partial_trace_second(rho) - np.eye(d) / d).max() < 1e-12
-        assert np.abs(clifford.partial_trace_first(rho) - np.eye(d) / d).max() < 1e-12
+        first = np.einsum("kikj->ij", rho.reshape(d, d, d, d))
+        assert np.abs(first - np.eye(d) / d).max() < 1e-12
         sig = gaussian.covariance(rho)
         eye = np.eye(2 * n)
         assert np.abs(sig[: 2 * n, 2 * n :] - eye).max() < 1e-9
