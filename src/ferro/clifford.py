@@ -158,20 +158,11 @@ def _pauli_matrix(phase: complex, x: int, z: int, n: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _majorana_cached(j: int, n: int) -> np.ndarray:
+def majorana(j: int, n: int) -> np.ndarray:
+    """Jordan-Wigner matrix of the j-th Majorana generator on n qubits, cached read-only."""
     m = _pauli_matrix(*_majorana_pauli(j, n), n)
     m.setflags(write=False)
     return m
-
-
-def majorana(j: int, n: int) -> np.ndarray:
-    """Jordan-Wigner matrix of the j-th Majorana generator on n qubits."""
-    return _majorana_cached(j, n)
-
-
-def parity_operator(n: int) -> np.ndarray:
-    """Z^{(x)n}, proportional to the full Majorana product."""
-    return np.diag(1.0 - 2.0 * (popcounts(n) & 1)).astype(complex)
 
 
 def moments(rho: np.ndarray) -> np.ndarray:
@@ -245,7 +236,11 @@ def entropy(rho: np.ndarray, alpha: float = 1.0):
 
 
 def is_even(a: np.ndarray):
-    """Whether A commutes with the parity operator Z^{(x)n}; one bool per state of a stack."""
+    """Whether A commutes with the parity operator Z^{(x)n}; one bool per state of a stack.
+
+    The one parity check of states and unitaries: EPS_EVEN bounds this
+    normalized commutator norm and nothing else.
+    """
     n = stack_qubits(a)
     z = 1.0 - 2.0 * (popcounts(n) & 1)
     # [A, Z]_ij = A_ij (z_j - z_i), under the normalized norm sqrt(2^-n Tr A^dag A)

@@ -44,22 +44,6 @@ class GrassmannPoly:
             raise ValueError(f"coefficient array has shape {self.coeffs.shape}, "
                              f"expected (..., {1 << self.generators})")
 
-    @classmethod
-    def zero(cls, generators: int) -> "GrassmannPoly":
-        return cls(generators, np.zeros(1 << generators, dtype=complex))
-
-    @classmethod
-    def one(cls, generators: int) -> "GrassmannPoly":
-        c = np.zeros(1 << generators, dtype=complex)
-        c[0] = 1.0
-        return cls(generators, c)
-
-    @classmethod
-    def monomial(cls, generators: int, mask: int, coeff: complex = 1.0) -> "GrassmannPoly":
-        c = np.zeros(1 << generators, dtype=complex)
-        c[mask] = coeff
-        return cls(generators, c)
-
     def __add__(self, other: "GrassmannPoly") -> "GrassmannPoly":
         self._check(other)
         return GrassmannPoly(self.generators, self.coeffs + other.coeffs)

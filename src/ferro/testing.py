@@ -8,7 +8,6 @@ state's covariance instead, computed from U without building the Choi state.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,67 +18,46 @@ EPS_TEST = 1e-7
 
 
 @dataclass(frozen=True)
-class StateTestResult:
-    p_accept: float
-    is_gaussian: bool
+class Verdict:
+    """Outcome of a Gaussianity test.
 
-    @property
-    def margin(self) -> float:
-        """Distance from the Gaussian verdict, 1 - p_accept: Gaussian iff margin <= EPS_TEST."""
-        return 1.0 - self.p_accept
-
-
-@dataclass(frozen=True)
-class UnitaryTestResult:
-    is_gaussian: bool
-    reason: str  # "", "not-even" or "choi-not-gaussian"
-    engine: str
-    # distance from the Gaussian verdict, Gaussian iff margin <= EPS_TEST: the
-    # covariance defect max_j (1 - sum_k R_jk^2) for "cumulant", 1 - p_accept
-    # for "dense", None when the not-even check decides
-    margin: float | None = None
-
-
-def gaussian_state_test(psi: np.ndarray) -> StateTestResult:
-    """Three-copy protocol: swap test between psi and psi boxtimes psi.
-
-    p_accept = (1 + <psi| psi boxtimes psi |psi>)/2; equals 1 iff psi is
-    fermionic Gaussian.  The overlap is read in the moment domain, by
-    Parseval: Tr psi c = 2^-n Re sum_J conj(psi_J) c_J.
+    reason: "" when Gaussian, "not-even" when the parity check decides, else
+    "choi-not-gaussian" (unitaries only).  margin: the distance from the
+    Gaussian verdict, Gaussian iff margin <= EPS_TEST; 1 - p_accept for a
+    swap test, the covariance defect max_j (1 - sum_k R_jk^2) for the unitary
+    "cumulant" engine.  p_accept: the state swap test's acceptance
+    probability.  Both are None when the parity check decides.
     """
-    xi = grassmann.even_fourier(psi)
+
+    is_gaussian: bool
+    reason: str
+    margin: float | None
+    p_accept: float | None = None
+
+
+def gaussian_state_test(psi: np.ndarray) -> Verdict:
+    """Pure-state protocol: the parity check, then psi against psi boxtimes psi.
+
+    psi must be a pure state; one of indefinite parity is not Gaussian.  The
+    swap test accepts with p = (1 + <psi| psi boxtimes psi |psi>)/2, which
+    equals 1 iff psi is fermionic Gaussian.  The overlap is read in the
+    moment domain, by Parseval: Tr psi c = 2^-n Re sum_J conj(psi_J) c_J.
+    """
+    clifford.assert_state(psi)
     measures.assert_pure(psi)
+    if not clifford.is_even(psi):
+        return Verdict(is_gaussian=False, reason="not-even", margin=None)
+    xi = grassmann.GrassmannPoly(2 * clifford.num_qubits(psi), clifford._moments(psi))
     conv = convolution.convolve_moments(xi, xi)
     overlap = float(np.real(np.vdot(xi.coeffs, conv.coeffs))) / psi.shape[0]
     p = 0.5 * (1.0 + overlap)
-    return StateTestResult(p_accept=p, is_gaussian=bool(p >= 1.0 - EPS_TEST))
-
-
-def even_state_test(psi: np.ndarray) -> bool:
-    """Swap test between psi and Z^n psi Z^n; passes iff psi has definite parity."""
-    clifford.assert_state(psi)
-    n = clifford.num_qubits(psi)
-    z = clifford.parity_operator(n)
-    fidelity = float(np.real(np.trace(psi @ (z @ psi @ z))))
-    purity = float(np.real(np.trace(psi @ psi)))
-    return bool(fidelity >= purity - clifford.EPS_EVEN)
+    return Verdict(is_gaussian=bool(p >= 1.0 - EPS_TEST), reason="", margin=1.0 - p, p_accept=p)
 
 
 def even_unitary_test(u: np.ndarray) -> bool:
-    """Passes iff Z^n U|+...+> = U Z^n|+...+>.
-
-    The comparison uses Re<a|b>, which is insensitive to a global phase of U
-    (the phase cancels between the two branches) yet still rejects odd
-    unitaries such as gamma_1, where the branches differ by a relative sign.
-    """
+    """Whether U is even: it commutes with the parity operator, whatever its global phase."""
     clifford.assert_unitary(u)
-    n = clifford.num_qubits(u)
-    d = 1 << n
-    plus = np.full(d, 1.0 / math.sqrt(d), dtype=complex)
-    signs = 1.0 - 2.0 * (clifford.popcounts(n) & 1)
-    a = signs * (u @ plus)
-    b = u @ (signs * plus)
-    return bool(np.real(np.vdot(a, b)) >= 1.0 - clifford.EPS_EVEN)
+    return clifford.is_even(u)
 
 
 def max_entangled_fermionic(n: int) -> np.ndarray:
@@ -118,7 +96,7 @@ def choi_covariance_block(u: np.ndarray) -> np.ndarray:
     return np.einsum("kab,jba->jk", g, ugu).real / (1 << n)
 
 
-def gaussian_unitary_test(u: np.ndarray, engine: str = "cumulant") -> UnitaryTestResult:
+def gaussian_unitary_test(u: np.ndarray, engine: str = "cumulant") -> Verdict:
     """U is Gaussian iff it is even and its Choi state is Gaussian.
 
     engine: "dense" runs the paper's three-copy swap protocol on the Choi
@@ -128,13 +106,12 @@ def gaussian_unitary_test(u: np.ndarray, engine: str = "cumulant") -> UnitaryTes
     i.e. iff every U gamma_j U^dag lies in span{gamma_k} (Jozsa & Miyake,
     arXiv:0804.4050), i.e. iff every row of R has unit norm; this rule is
     exact at every mode count.  Odd unitaries such as gamma_1 also map the
-    gamma_j into their span, so the even check comes first.
+    gamma_j into their span, so the even check, which validates U, comes first.
     """
-    clifford.assert_unitary(u)
     if engine not in ("dense", "cumulant"):
         raise ValueError(f"unknown engine {engine!r}")
     if not even_unitary_test(u):
-        return UnitaryTestResult(is_gaussian=False, reason="not-even", engine=engine)
+        return Verdict(is_gaussian=False, reason="not-even", margin=None)
     if engine == "dense":
         res = gaussian_state_test(choi_state(u))
         ok, margin = res.is_gaussian, res.margin
@@ -142,5 +119,4 @@ def gaussian_unitary_test(u: np.ndarray, engine: str = "cumulant") -> UnitaryTes
         r = choi_covariance_block(u)
         margin = float(np.max(1.0 - np.sum(r * r, axis=1)))
         ok = margin <= EPS_TEST
-    return UnitaryTestResult(is_gaussian=ok, reason="" if ok else "choi-not-gaussian",
-                             engine=engine, margin=margin)
+    return Verdict(is_gaussian=ok, reason="" if ok else "choi-not-gaussian", margin=margin)

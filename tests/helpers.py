@@ -26,9 +26,17 @@ def random_state(rng, n):
     return rho / np.trace(rho)
 
 
+def parity_operator(n):
+    """Z^{(x)n}, built as a Kronecker product of Pauli Z matrices."""
+    z = np.array([[1.0]], dtype=complex)
+    for _ in range(n):
+        z = np.kron(z, np.diag([1.0, -1.0]))
+    return z
+
+
 def random_even_state(rng, n):
     rho = random_state(rng, n)
-    z = clifford.parity_operator(n)
+    z = parity_operator(n)
     rho = (rho + z @ rho @ z) / 2
     return rho / np.trace(rho)
 
@@ -194,6 +202,23 @@ def phase_invariant_distance(u, v):
     ovl = np.trace(u.conj().T @ v) / d
     phase = ovl / abs(ovl) if abs(ovl) > 1e-14 else 1.0
     return float(np.linalg.norm(u - phase * v)) / math.sqrt(d)
+
+
+def g_zero(generators):
+    """The zero polynomial over the given number of generators."""
+    return grassmann.GrassmannPoly(generators, np.zeros(1 << generators, dtype=complex))
+
+
+def g_one(generators):
+    """The constant polynomial 1."""
+    return g_monomial(generators, 0)
+
+
+def g_monomial(generators, mask, coeff=1.0):
+    """coeff * eta_J for the mask J."""
+    c = np.zeros(1 << generators, dtype=complex)
+    c[mask] = coeff
+    return grassmann.GrassmannPoly(generators, c)
 
 
 def rotate_generators(p, r):

@@ -5,7 +5,7 @@ import pytest
 
 from ferro import clifford, gaussian
 
-from helpers import random_even_state, random_state, relative_entropy
+from helpers import parity_operator, random_even_state, random_state, relative_entropy
 from oracles import compute_reference
 
 I2 = np.eye(2)
@@ -58,7 +58,7 @@ def test_majorana_product_basics():
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_full_product_is_parity(n):
     full = gamma((1 << (2 * n)) - 1, n)
-    assert np.abs(full * (-1j) ** n - clifford.parity_operator(n)).max() < 1e-12
+    assert np.abs(full * (-1j) ** n - parity_operator(n)).max() < 1e-12
 
 
 def test_hs_inner_orthonormal_basis():

@@ -308,3 +308,69 @@ def test_clt_computes_cumulants_once(tmp_path, monkeypatch, engine):
     assert cli.main(["clt", str(f), "--kmax", "4", "--engine", engine, "--out", str(out)]) == 0
     assert len(calls) == 1
     assert len(out.read_text().splitlines()) == 6
+
+
+@pytest.mark.parametrize("command", ["fig2", "renyi", "weights"])
+def test_cli_bounds_the_grid(tmp_path, capsys, monkeypatch, command):
+    """A grid of 4098 points gives E_BAD_GRID before the grid or its stack is built."""
+    import tracemalloc
+
+    def refuse(phi):
+        raise AssertionError("the stack of states was built")
+
+    monkeypatch.setattr(states, "magic_state", refuse)
+    out = str(tmp_path / "s.csv")
+
+    def peak(grid):
+        tracemalloc.start()
+        try:
+            assert cli.main([command, "--grid", grid, "--out", out]) == 2
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak("1")  # warm the parser's caches
+    base, big = peak("1"), peak("4098")
+    assert capsys.readouterr().err.splitlines()[-1] == "error E_BAD_GRID: 4098"
+    assert big - base < 4098 * 8  # less than the grid array itself
+    assert not (tmp_path / "s.csv").exists()
+    assert len(cli._phi_grid(4097)) == 4097
+
+
+def _parity_gap_files(tmp_path):
+    """The parity-gap inputs, (|00> + 1e-5 |01>) and exp(i 1e-6 X), and two plain states."""
+    t = 1e-6
+    files = {
+        "gap-state": np.array([1.0, 1e-5, 0.0, 0.0], dtype=complex),
+        "gap-unitary": np.array([[math.cos(t), 1j * math.sin(t)],
+                                 [1j * math.sin(t), math.cos(t)]]),
+        "vector": states.magic_state_vector(2.0),
+        "matrix": states.magic_state(2.0),
+    }
+    for name, a in files.items():
+        (tmp_path / f"{name}.txt").write_text(io.write_array(a))
+    return {name: str(tmp_path / f"{name}.txt") for name in files}
+
+
+@pytest.mark.parametrize("command", ["test-state", "clt", "test-unitary --engine dense",
+                                     "test-unitary --engine cumulant"])
+def test_cli_never_raises(tmp_path, capsys, command):
+    """Every input gets a verdict (exit 0) or an E_ code (exit 2), never an exception."""
+    command, *options = command.split()
+    if command == "clt":
+        options = ["--out", str(tmp_path / "c.csv")]
+    for name, path in _parity_gap_files(tmp_path).items():
+        rc = cli.main([command, path, *options])
+        captured = capsys.readouterr()
+        assert rc in (0, 2), (name, rc)
+        assert rc == 0 or captured.err.startswith("error E_"), (name, captured.err)
+        if (command, name) == ("clt", "gap-state"):
+            assert captured.err.startswith("error E_NOT_EVEN_STATE")
+        if (command, name) == ("test-state", "gap-state"):
+            assert rc == 0
+            assert captured.out.splitlines() == [
+                "even: no", "verdict: non-gaussian",
+                "csv,even=0,p_accept=,gaussian=0,reason=not-even,margin="]
+        if (command, name) == ("test-unitary", "gap-unitary"):
+            assert rc == 0
+            assert "verdict: non-gaussian\nreason: not-even\n" in captured.out

@@ -21,6 +21,17 @@ def _public_functions():
                 yield f"{mod.__name__.removeprefix('ferro.')}.{attr}", obj
 
 
+def _public_methods():
+    """(name, class, attribute) of every public method, classmethod or staticmethod."""
+    for mod in MODULES:
+        for cname, cls in vars(mod).items():
+            if not inspect.isclass(cls) or cname.startswith("_") or cls.__module__ != mod.__name__:
+                continue
+            for attr, obj in vars(cls).items():
+                if not attr.startswith("_") and inspect.isfunction(getattr(obj, "__func__", obj)):
+                    yield f"{mod.__name__.removeprefix('ferro.')}.{cname}.{attr}", cls, attr
+
+
 def test_no_public_function_takes_a_check_switch():
     """No public function takes a check switch or a tolerance that no caller sets."""
     params = {name: inspect.signature(fn).parameters for name, fn in _public_functions()}
@@ -76,6 +87,11 @@ def test_runtime_is_what_the_cli_reaches(tmp_path, monkeypatch):
 
     public = dict(_public_functions())
     wrapped = {id(fn): wrap(name, fn) for name, fn in public.items()}
+    for name, cls, attr in _public_methods():
+        public[name] = obj = vars(cls)[attr]
+        fn = getattr(obj, "__func__", obj)  # a classmethod or staticmethod keeps its kind
+        monkeypatch.setattr(cls, attr, wrap(name, fn) if fn is obj else type(obj)(wrap(name, fn)))
+    assert "circuits.GateList.append" in public
     # rebind every module-level reference, e.g. `from .clifford import popcounts`
     for mod in MODULES + [ferro]:
         for attr, obj in list(vars(mod).items()):
@@ -118,12 +134,12 @@ EVEN_ONLY = {
     "measures.ng_entropy": measures.ng_entropy,
     "measures.ng_entropy_mixed": measures.ng_entropy_mixed,
     "measures.clt_bound": lambda r: measures.clt_bound(r, 1),
-    "testing.gaussian_state_test": testing.gaussian_state_test,
 }
 ANY_STATE = {
     "clifford.moments": clifford.moments,
     "gaussian.covariance": gaussian.covariance,
     "measures.moment_weights": measures.moment_weights,
+    "testing.gaussian_state_test": testing.gaussian_state_test,
 }
 
 
@@ -141,6 +157,12 @@ def test_rejects_non_state(name):
         {**EVEN_ONLY, **ANY_STATE}[name](NOT_A_STATE)
 
 
+def test_state_test_gives_not_even_verdict():
+    """The pure-state protocol decides a state of indefinite parity instead of raising."""
+    res = testing.gaussian_state_test(ODD)
+    assert res == testing.Verdict(is_gaussian=False, reason="not-even", margin=None)
+
+
 def test_assert_even_state():
     clifford.assert_even_state(np.eye(4, dtype=complex) / 4)
     with pytest.raises(ValueError, match="not even"):
@@ -150,8 +172,10 @@ def test_assert_even_state():
 
 
 def test_popcounts_parity():
+    from helpers import parity_operator
+
     assert list(clifford.popcounts(3)) == [0, 1, 1, 2, 1, 2, 2, 3]
-    z = clifford.parity_operator(3)
+    z = parity_operator(3)
     assert np.array_equal(np.diag(z).real, 1.0 - 2.0 * (clifford.popcounts(3) & 1))
 
 
@@ -223,3 +247,18 @@ def test_clt_validates_once(tmp_path, monkeypatch, engine):
     calls = count_state_checks(monkeypatch)
     assert cli.main(["clt", str(f), "--engine", engine, "--out", str(tmp_path / "c.csv")]) == 0
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("engine,checks", [("cumulant", 2), ("dense", 3)])
+def test_test_unitary_validates(tmp_path, monkeypatch, engine, checks):
+    """test-unitary checks U at the boundary and in the parity test; the dense engine's
+    Choi state checks it once more."""
+    from ferro import io
+
+    f = tmp_path / "cz.txt"
+    f.write_text(io.write_array(np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)))
+    calls = []
+    assert_unitary = clifford.assert_unitary
+    monkeypatch.setattr(clifford, "assert_unitary", lambda u: calls.append(1) or assert_unitary(u))
+    assert cli.main(["test-unitary", str(f), "--engine", engine]) == 0
+    assert len(calls) == checks
