@@ -12,7 +12,7 @@ import sys
 
 import numpy as np
 
-from . import circuits, clifford, convolution, grassmann, io, measures, states, testing
+from . import circuits, clifford, convolution, gaussian, grassmann, io, measures, states, testing
 
 
 # largest inputs the commands accept: a state's moment table has 4^n
@@ -154,21 +154,23 @@ def cmd_clt(args) -> int:
     _check_modes(arr, MAX_STATE_MODES)
     rho = _density(arr, kind)
     try:
-        xi = grassmann.even_fourier(rho)
+        clifford.assert_state(rho)
     except ValueError as e:
-        raise CliError("E_NOT_EVEN_STATE", str(e)) from None
+        raise CliError("E_NOT_A_STATE", str(e)) from None
+    if not clifford.is_even(rho):
+        raise CliError("E_NOT_EVEN_STATE", "state is not even")
+    xi = grassmann.GrassmannPoly(2 * clifford.num_qubits(rho), clifford._moments(rho))
     kmax = args.kmax
-    limit = 6 if args.engine == "cumulant" else 4
-    if not 0 <= kmax <= limit:
-        raise CliError("E_KMAX_RANGE", f"{kmax} (engine {args.engine} allows <= {limit})")
-    # one moment table gives the iterates and the cumulant polynomial, which
-    # serves every row's bound and the limit G(rho): it keeps the cumulants
-    # of degree <= 2; distances by moment-domain Parseval,
+    if not 0 <= kmax <= 6:
+        raise CliError("E_KMAX_RANGE", str(kmax))
+    # one moment table gives the iterates, the cumulant polynomial (every
+    # row's bound) and the limit G(rho), the Gaussian with the table's
+    # degree-2 moments; distances by moment-domain Parseval,
     # ||rho - g||_2 = 2^-n sqrt(sum_J |rho_J - g_J|^2)
     psi = grassmann.cumulants_from_moments(xi)
     _, k_g, k_m, _ = measures.polynomial_weights(psi)
-    low = clifford.popcounts(psi.generators) <= 2
-    g_mom = grassmann.g_exp(grassmann.GrassmannPoly(psi.generators, psi.coeffs * low))
+    g_mom = grassmann.GrassmannPoly(xi.generators,
+                                    gaussian.wick_moments(gaussian._covariance(xi.coeffs)))
     rows = []
     for k in range(kmax + 1):
         if k:

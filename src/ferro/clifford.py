@@ -202,7 +202,7 @@ def partial_trace_second(a: np.ndarray) -> np.ndarray:
     """Trace out the last n of 2n qubits.
 
     No runtime path calls it; it stays while the benchmark names it as a
-    per-layer metric (ROADMAP item 2).
+    per-layer metric (until the benchmark change).
     """
     q = num_qubits(a)
     if q % 2:

@@ -10,8 +10,8 @@ entry; iterated convolutions stay moment polynomials until the last
 iterate.  conv_unitary builds the dense
 2n-qubit W_theta on request; no runtime path calls it.  It is the tests'
 oracle of the channel and of the gate compiler's netlists, and it stays in
-the package while the benchmark names it as a per-layer metric (ROADMAP
-item 2).
+the package while the benchmark names it as a per-layer metric (until the
+benchmark change).
 """
 
 from __future__ import annotations

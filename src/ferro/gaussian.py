@@ -1,11 +1,12 @@
 """Covariance matrices, Pfaffians, Wick synthesis of Gaussian states, Gaussification.
 
-Gaussian states are synthesized from their moment polynomial, the Grassmann
-exponential of the covariance form, rather than from
+Gaussian states are synthesized from their moment table, whose entry at
+an even index set J is i^{|J|/2} Pf(Sigma_|J) (Wick's theorem), filled by
+one Pfaffian recursion (wick_moments) rather than from
 exp(i/2 gamma^T h gamma): the quadratic-Hamiltonian parameterization
 degenerates for pure states (nu -> inf) while the Wick route is exact at
-|lambda| = 1.  covariance, gaussian_from_covariance and gaussification also
-take a stack of states or covariances and act on each.
+|lambda| = 1.  covariance, wick_moments, gaussian_from_covariance and
+gaussification also take a stack of states or covariances and act on each.
 """
 
 from __future__ import annotations
@@ -43,29 +44,14 @@ def _covariance(mom: np.ndarray) -> np.ndarray:
 
 # pfaffian, quadratic_hamiltonian and gaussian_unitary have no runtime
 # caller; they stay while the benchmark names them as per-layer metrics
-# (ROADMAP item 2), and the tests use them as references.
-def _pfaffian_matching(m: np.ndarray) -> float:
-    """Sum over perfect matchings; exponential, used as the small-size oracle."""
-    idx = list(range(m.shape[0]))
-
-    def rec(active):
-        if not active:
-            return 1.0
-        i0 = active[0]
-        total = 0.0
-        for pos in range(1, len(active)):
-            j = active[pos]
-            rest = active[1:pos] + active[pos + 1 :]
-            sign = -1.0 if (pos - 1) & 1 else 1.0
-            total += sign * m[i0, j] * rec(rest)
-        return total
-
-    return float(rec(idx))
-
-
-def _pfaffian_parlett_reid(m: np.ndarray) -> float:
+# (until the benchmark change), and the tests use them as references.
+def pfaffian(m: np.ndarray) -> float:
+    """Pfaffian of a real antisymmetric matrix of even dimension, by Parlett-Reid elimination."""
+    _check_antisymmetric(m, eps=1e-8)
+    d = m.shape[0]
+    if d % 2:
+        raise ValueError("Pfaffian needs an even dimension")
     a = np.array(m, dtype=float)
-    d = a.shape[0]
     pf = 1.0
     for k in range(0, d - 1, 2):
         pivot = k + 1 + int(np.argmax(np.abs(a[k + 1 :, k])))
@@ -83,40 +69,42 @@ def _pfaffian_parlett_reid(m: np.ndarray) -> float:
     return float(pf)
 
 
-def pfaffian(m: np.ndarray) -> float:
-    """Pfaffian of a real antisymmetric matrix of even dimension."""
-    _check_antisymmetric(m, eps=1e-8)
-    d = m.shape[0]
-    if d % 2:
-        raise ValueError("Pfaffian needs an even dimension")
-    if d == 0:
-        return 1.0
-    if d <= 6:
-        return _pfaffian_matching(np.asarray(m, dtype=float))
-    return _pfaffian_parlett_reid(m)
+def wick_moments(sigma: np.ndarray) -> np.ndarray:
+    """Moment table of exp(i sum_{j<k} Sigma_jk eta_j eta_k), or a stack (..., 4^n) of them.
+
+    By Wick's theorem rho_J = Pf(A_J) with A = i Sigma, and the Pfaffian is
+    expanded on the top index t of J,
+    rho_J = sum_{j in J, j < t} (-1)^{#(J strictly between j and t)} A_jt rho_{J - {j, t}},
+    so the masks with top index t are filled from those below t, one
+    vectorized gather per pair (j, t).  Reads the upper triangle of Sigma.
+    """
+    m = sigma.shape[-1]
+    pc = clifford.popcounts(m)
+    rho = np.zeros(sigma.shape[:-2] + (1 << m,), dtype=complex)
+    rho[..., 0] = 1.0
+    for t in range(1, m):
+        low = np.arange(1 << t)
+        for j in range(t):
+            rest = low[(low >> j & 1 == 0) & (pc[low] & 1 == 0)]
+            phase = 1j - 2j * (pc[rest >> (j + 1)] & 1)  # i (-1)^{#(J between j and t)}
+            rho[..., rest | (1 << j) | (1 << t)] += sigma[..., j, t, None] * phase * rho[..., rest]
+    return rho
 
 
 def gaussian_from_covariance(sigma: np.ndarray) -> np.ndarray:
     """Gaussian state with the given covariance: moments exp(i sum_{j<k} Sigma_jk eta_j eta_k).
 
     The exponential expands into the Wick sum rho_J = i^{|J|/2} Pf(Sigma_|J)
-    for even J; without the i^{|J|/2} phase the sum is not a Hermitian
-    operator in this convention.
+    for even J (wick_moments); without the i^{|J|/2} phase the sum is not a
+    Hermitian operator in this convention.
     """
     _check_antisymmetric(sigma)
-    n = sigma.shape[-1] // 2
+    if sigma.shape[-1] % 2:
+        raise ValueError("covariance needs an even dimension 2n")
     ev = np.linalg.eigvalsh(sigma.swapaxes(-1, -2) @ sigma)
     if ev.max() > 1.0 + EPS_CONTRACT:
         raise ValueError("covariance violates Sigma^T Sigma <= I")
-    return grassmann.inverse_fourier(grassmann.g_exp(_covariance_form(sigma, n)))
-
-
-def _covariance_form(sigma: np.ndarray, n: int) -> grassmann.GrassmannPoly:
-    """The quadratic form i sum_{j<k} Sigma_jk eta_j eta_k over 2n generators."""
-    j, k = np.triu_indices(2 * n, 1)
-    quad = np.zeros(sigma.shape[:-2] + (1 << (2 * n),), dtype=complex)
-    quad[..., (1 << j) | (1 << k)] = 1j * sigma[..., j, k]
-    return grassmann.GrassmannPoly(2 * n, quad)
+    return clifford.from_moments(wick_moments(sigma), sigma.shape[-1] // 2)
 
 
 def gaussification(rho: np.ndarray) -> np.ndarray:

@@ -56,6 +56,23 @@ def random_antisymmetric(rng, m, scale=1.0):
     return (h - h.T) / 2
 
 
+def pfaffian_matching(m):
+    """Pfaffian as a sum over perfect matchings; exponential, the exact small-size oracle."""
+
+    def rec(active):
+        if not active:
+            return 1.0
+        i0 = active[0]
+        total = 0.0
+        for pos in range(1, len(active)):
+            rest = active[1:pos] + active[pos + 1 :]
+            sign = -1.0 if (pos - 1) & 1 else 1.0
+            total += sign * m[i0, active[pos]] * rec(rest)
+        return total
+
+    return rec(list(range(m.shape[0])))
+
+
 def random_gaussian_unitary(rng, n, scale=0.5):
     h = random_antisymmetric(rng, 2 * n, scale)
     return gaussian.gaussian_unitary(h)

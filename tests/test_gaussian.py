@@ -4,6 +4,7 @@ import pytest
 from ferro import clifford, gaussian, grassmann, measures
 
 from helpers import (
+    pfaffian_matching,
     random_antisymmetric,
     random_even_state,
     random_gaussian_state,
@@ -52,13 +53,46 @@ def test_pfaffian_congruence(rng):
 
 
 def test_pfaffian_routes_agree(rng):
-    m = random_antisymmetric(rng, 6)
-    assert abs(gaussian._pfaffian_matching(m) - gaussian._pfaffian_parlett_reid(m)) < 1e-10
+    for d in (0, 2, 4, 6):
+        m = random_antisymmetric(rng, d)
+        assert abs(gaussian.pfaffian(m) - pfaffian_matching(m)) < 1e-10
 
 
 def test_pfaffian_odd_dimension():
     with pytest.raises(ValueError):
         gaussian.pfaffian(np.zeros((3, 3)))
+
+
+def _exp_of_covariance_form(sigma):
+    """g_exp of i sum_{j<k} Sigma_jk eta_j eta_k, the Grassmann route to the Wick table."""
+    m = sigma.shape[-1]
+    j, k = np.triu_indices(m, 1)
+    quad = np.zeros(sigma.shape[:-2] + (1 << m,), dtype=complex)
+    quad[..., (1 << j) | (1 << k)] = 1j * sigma[..., j, k]
+    return grassmann.g_exp(grassmann.GrassmannPoly(m, quad)).coeffs
+
+
+def test_wick_moments_match_exponential(rng):
+    """The Pfaffian recursion fills the table of the exponential of the covariance form."""
+    for n in range(1, 7):
+        sig = gaussian.covariance(random_gaussian_state(rng, n))
+        assert np.abs(gaussian.wick_moments(sig) - _exp_of_covariance_form(sig)).max() < 1e-14
+    stack = np.stack([gaussian.covariance(random_gaussian_state(rng, 4, pure=k % 2 == 0))
+                      for k in range(65)])
+    assert stack.shape == (65, 8, 8)
+    assert np.abs(gaussian.wick_moments(stack) - _exp_of_covariance_form(stack)).max() < 1e-14
+
+
+def test_wick_moments_are_pfaffians(rng):
+    """Entry J is i^{|J|/2} Pf(Sigma_|J) on every even sub-block, 0 on odd J."""
+    for n in (1, 2, 3):
+        sig = random_antisymmetric(rng, 2 * n)
+        table = gaussian.wick_moments(sig)
+        for mask in range(1 << (2 * n)):
+            rows = [i for i in range(2 * n) if mask >> i & 1]
+            expect = (1j ** (len(rows) // 2) * pfaffian_matching(sig[np.ix_(rows, rows)])
+                      if len(rows) % 2 == 0 else 0.0)
+            assert abs(table[mask] - expect) < 1e-14
 
 
 def test_gaussian_from_covariance_basics():
@@ -86,6 +120,8 @@ def test_pure_iff_unit_lambdas(rng):
 def test_gaussian_from_covariance_rejects_oversized():
     with pytest.raises(ValueError):
         gaussian.gaussian_from_covariance(np.array([[0.0, 1.5], [-1.5, 0.0]]))
+    with pytest.raises(ValueError, match="even dimension"):
+        gaussian.gaussian_from_covariance(np.zeros((3, 3)))
 
 
 def test_gaussification_fixes_gaussians(rng):

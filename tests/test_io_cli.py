@@ -94,7 +94,7 @@ def test_cli_test_state_prints_margin(tmp_path, capsys):
 
 
 def test_cli_sweeps_compute_columns(tmp_path, monkeypatch):
-    """fig2 runs its grid as one stack: 4 doublings and 3 Gaussification products, any grid."""
+    """fig2 runs its grid as one stack: 4 doublings, any grid; Gaussification makes no product."""
     from ferro import grassmann
 
     calls = []
@@ -104,7 +104,7 @@ def test_cli_sweeps_compute_columns(tmp_path, monkeypatch):
         calls.clear()
         assert cli.main(["fig2", "--kmax", "4", "--grid", str(grid),
                          "--out", str(tmp_path / "f.csv")]) == 0
-        assert len(calls) == 7
+        assert len(calls) == 4
 
 
 def test_cli_fig2_memory(tmp_path):
@@ -157,10 +157,11 @@ def test_cli_clt_engines_agree(tmp_path):
     f = tmp_path / "psi.txt"
     f.write_text(io.write_array(states.magic_state_vector(2.0)))
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    assert cli.main(["clt", str(f), "--kmax", "3", "--out", str(a)]) == 0
-    assert cli.main(["clt", str(f), "--kmax", "3", "--engine", "cumulant", "--out", str(b)]) == 0
+    assert cli.main(["clt", str(f), "--kmax", "6", "--out", str(a)]) == 0
+    assert cli.main(["clt", str(f), "--kmax", "6", "--engine", "cumulant", "--out", str(b)]) == 0
     ra = [r.split(",") for r in a.read_text().strip().splitlines()[1:]]
     rb = [r.split(",") for r in b.read_text().strip().splitlines()[1:]]
+    assert len(ra) == len(rb) == 7
     for x, y in zip(ra, rb):
         assert abs(float(x[1]) - float(y[1])) < 1e-9
         assert abs(float(x[2]) - float(y[2])) < 1e-12
@@ -210,6 +211,33 @@ def test_cli_rejects_zero_vector(tmp_path, capsys, dim):
 def test_cli_rejects_mixed_state(tmp_path, capsys):
     rho = np.diag([0.5, 0.0, 0.0, 0.5]).astype(complex)  # even, Gaussian, mixed
     _rejects(tmp_path, capsys, ["test-state"], io.write_array(rho), "E_NOT_PURE")
+
+
+def test_clt_checks_the_state_before_its_parity(tmp_path, capsys):
+    """A non-state gets E_NOT_A_STATE from clt as from test-state; a parity gap, E_NOT_EVEN_STATE."""
+    t = 1e-6
+    not_hermitian = np.array([[math.cos(t), 1j * math.sin(t)], [1j * math.sin(t), math.cos(t)]])
+    negative = np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex)
+    clt = ["clt", "--out", str(tmp_path / "c.csv")]
+    for rho in (not_hermitian, negative):
+        for argv in (["test-state"], clt):
+            _rejects(tmp_path, capsys, argv, io.write_array(rho), "E_NOT_A_STATE")
+    gap = np.array([1.0, 1e-5, 0.0, 0.0], dtype=complex)
+    _rejects(tmp_path, capsys, clt, io.write_array(gap), "E_NOT_EVEN_STATE")
+
+
+@pytest.mark.parametrize("engine", ["dense", "cumulant"])
+def test_clt_kmax_bound(tmp_path, capsys, engine):
+    """Both engines take --kmax 0..6."""
+    f = tmp_path / "psi.txt"
+    f.write_text(io.write_array(states.magic_state_vector(2.0)))
+    out = tmp_path / "c.csv"
+    for kmax in (-1, 7):
+        assert cli.main(["clt", str(f), "--kmax", str(kmax), "--engine", engine,
+                         "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error E_KMAX_RANGE: {kmax}\n"
+    assert cli.main(["clt", str(f), "--kmax", "6", "--engine", engine, "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 8
 
 
 def test_cli_import_loads_numpy_only():

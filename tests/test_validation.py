@@ -44,8 +44,8 @@ def test_no_public_function_takes_a_check_switch():
 
 
 # Public functions that no CLI command reaches.  The paper's measures and
-# library entry points (ROADMAP item 4's allow-list), and the writer of the
-# CLI's state files and the reader of its netlists.
+# library entry points, and the writer of the CLI's state files and the
+# reader of its netlists.
 PAPER_API = {
     "clifford.moments", "gaussian.covariance",
     "convolution.convolve", "convolution.complementary_convolve",
@@ -55,7 +55,7 @@ PAPER_API = {
     "io.write_array", "circuits.parse_netlist",
 }
 # Named as per-layer metrics in BENCHMARK.json, whose runner fails on a
-# missing name: they leave with the benchmark change of ROADMAP item 2.
+# missing name: they leave with the benchmark change.
 BENCHMARK_PINNED = {
     "clifford.partial_trace_second", "convolution.conv_unitary", "gaussian.gaussian_unitary",
     "gaussian.pfaffian", "gaussian.quadratic_hamiltonian",
@@ -226,7 +226,7 @@ def test_validates_once(monkeypatch, name):
 
 
 def test_test_state_validates_twice(tmp_path, monkeypatch, capsys):
-    """test-state checks its state in the parity test and once more in the three-copy test."""
+    """test-state checks its state at the CLI's boundary and once more in gaussian_state_test."""
     from ferro import io, states
 
     f = tmp_path / "psi.txt"
