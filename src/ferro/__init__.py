@@ -1,6 +1,11 @@
-"""ferro: fermionic convolution, Gaussification, non-Gaussianity measures and tests."""
+"""ferro: fermionic convolution, Gaussification, non-Gaussianity measures and tests.
 
-from . import circuits, clifford, convolution, gaussian, grassmann, io, measures, states, testing
+The submodules load on first access (PEP 562), so `import ferro` costs
+nothing beyond this file and a command imports only the modules it runs:
+`ferro.circuits` is pure Python, every other module loads numpy.
+"""
+
+import importlib
 
 __all__ = [
     "circuits",
@@ -15,3 +20,14 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name in __all__:
+        # importing a submodule binds it on the package, so this runs once per name
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

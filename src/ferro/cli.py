@@ -2,6 +2,10 @@
 
 Exit codes: 0 success, 2 precondition/parse failure (one-line `error E_...`
 message on stderr).
+
+Each command checks its arguments first and then imports only the ferro
+modules it runs, so `decompose` and every argument error finish without
+loading numpy.
 """
 
 from __future__ import annotations
@@ -10,10 +14,6 @@ import argparse
 import math
 import sys
 
-import numpy as np
-
-from . import circuits, clifford, convolution, gaussian, grassmann, io, measures, states, testing
-
 
 # largest inputs the commands accept: a state's moment table has 4^n
 # entries; the covariance engine conjugates 2n Majoranas by a 2^n x 2^n
@@ -21,6 +21,8 @@ from . import circuits, clifford, convolution, gaussian, grassmann, io, measures
 MAX_STATE_MODES = 6
 MAX_UNITARY_MODES = 8
 MAX_DENSE_UNITARY_MODES = 4
+# a netlist has ~4m^2 gates for m modes: 17,793 lines at 64
+MAX_NETLIST_MODES = 64
 # the sweeps hold the whole phi grid as one stack, up to ~30 kB per point
 MAX_GRID = 4097
 
@@ -31,18 +33,27 @@ class CliError(Exception):
         super().__init__(f"{code}: {detail}" if detail else code)
 
 
-def _phi_grid(points: int) -> np.ndarray:
-    """E_BAD_GRID outside 2..MAX_GRID points, before any stack is built."""
+def _check_kmax(kmax: int, low: int, high: int) -> int:
+    """The iteration count, or E_KMAX_RANGE outside low..high."""
+    if not low <= kmax <= high:
+        raise CliError("E_KMAX_RANGE", str(kmax))
+    return kmax
+
+
+def _phi_grid(points: int):
+    """The phi grid; E_BAD_GRID outside 2..MAX_GRID points, before any stack is built."""
     if not 2 <= points <= MAX_GRID:
         raise CliError("E_BAD_GRID", str(points))
+    import numpy as np
+
     return np.linspace(0.0, 2.0 * math.pi, points)
 
 
 def cmd_fig2(args) -> int:
-    kmax = args.kmax
-    if not 1 <= kmax <= 4:
-        raise CliError("E_KMAX_RANGE", str(kmax))
+    kmax = _check_kmax(args.kmax, 1, 4)
     grid = _phi_grid(args.grid)
+    from . import io, measures, states
+
     psi = states.magic_state(grid)
     cols = measures.ng_entropies(psi, kmax)
     cols.append(measures.ng_relative_entropy(psi))
@@ -51,23 +62,30 @@ def cmd_fig2(args) -> int:
     return 0
 
 
-def _rows(grid: np.ndarray, cols) -> list:
+def _rows(grid, cols) -> list:
     """CSV rows phi, col_1[i], col_2[i], ... from per-column arrays over the grid."""
+    import numpy as np
+
     return np.column_stack([grid, *cols]).tolist()
 
 
 def cmd_weights(args) -> int:
     grid = _phi_grid(args.grid)
+    from . import io, measures, states
+
     _, k_g, k_m, k_total = measures.cumulant_weights(states.magic_state(grid))
     io.write_csv(args.out, ["phi", "K_G", "K_M", "K"], _rows(grid, [k_g, k_m, k_total]))
     return 0
 
 
 def cmd_renyi(args) -> int:
-    kmax = args.kmax
-    if not 1 <= kmax <= 4:
-        raise CliError("E_KMAX_RANGE", str(kmax))
+    kmax = _check_kmax(args.kmax, 1, 4)
+    # S_alpha is defined for alpha in [0, inf]
+    if math.isnan(args.alpha) or args.alpha < 0.0:
+        raise CliError("E_BAD_ALPHA", str(args.alpha))
     grid = _phi_grid(args.grid)
+    from . import io, measures, states
+
     cols = measures.ng_entropies(states.magic_state(grid), kmax, alpha=args.alpha)
     header = ["phi"] + [f"NG_a{io.fmt(args.alpha)}_k{k}" for k in range(1, kmax + 1)]
     io.write_csv(args.out, header, _rows(grid, cols))
@@ -75,6 +93,8 @@ def cmd_renyi(args) -> int:
 
 
 def _load(path: str):
+    from . import io
+
     try:
         with open(path) as f:
             text = f.read()
@@ -86,16 +106,18 @@ def _load(path: str):
         raise CliError(e.code, "") from None
 
 
-def _check_modes(arr: np.ndarray, max_modes: int) -> None:
+def _check_modes(arr, max_modes: int) -> None:
     """E_TOO_LARGE for inputs over max_modes modes, before any 4^n work."""
     if arr.shape[0] > 1 << max_modes:
         raise CliError("E_TOO_LARGE", f"dimension {arr.shape[0]} exceeds {1 << max_modes}")
 
 
-def _density(arr: np.ndarray, kind: str) -> np.ndarray:
+def _density(arr, kind: str):
     """A density matrix as given, or the projector onto a normalised state vector."""
     if kind == "matrix":
         return arr
+    import numpy as np
+
     norm = np.linalg.norm(arr)
     if norm == 0.0:
         raise CliError("E_ZERO_VECTOR")
@@ -105,6 +127,8 @@ def _density(arr: np.ndarray, kind: str) -> np.ndarray:
 
 def _field(x) -> str:
     """A verdict's figure for the output, empty when the parity check decided without it."""
+    from . import io
+
     return "" if x is None else io.fmt(x)
 
 
@@ -112,6 +136,8 @@ def cmd_test_state(args) -> int:
     arr, kind = _load(args.statefile)
     _check_modes(arr, MAX_STATE_MODES)
     rho = _density(arr, kind)
+    from . import clifford, testing
+
     try:
         clifford.assert_state(rho)
     except ValueError as e:
@@ -135,6 +161,8 @@ def cmd_test_unitary(args) -> int:
     if kind != "matrix":
         raise CliError("E_EXPECTED_MATRIX", args.unitaryfile)
     _check_modes(arr, MAX_DENSE_UNITARY_MODES if args.engine == "dense" else MAX_UNITARY_MODES)
+    from . import clifford, testing
+
     try:
         clifford.assert_unitary(arr)
     except ValueError as e:
@@ -150,9 +178,12 @@ def cmd_test_unitary(args) -> int:
 
 
 def cmd_clt(args) -> int:
+    kmax = _check_kmax(args.kmax, 0, 6)
     arr, kind = _load(args.statefile)
     _check_modes(arr, MAX_STATE_MODES)
     rho = _density(arr, kind)
+    from . import clifford, convolution, gaussian, grassmann, io, measures
+
     try:
         clifford.assert_state(rho)
     except ValueError as e:
@@ -160,9 +191,6 @@ def cmd_clt(args) -> int:
     if not clifford.is_even(rho):
         raise CliError("E_NOT_EVEN_STATE", "state is not even")
     xi = grassmann.GrassmannPoly(2 * clifford.num_qubits(rho), clifford._moments(rho))
-    kmax = args.kmax
-    if not 0 <= kmax <= 6:
-        raise CliError("E_KMAX_RANGE", str(kmax))
     # one moment table gives the iterates, the cumulant polynomial (every
     # row's bound) and the limit G(rho), the Gaussian with the table's
     # degree-2 moments; distances by moment-domain Parseval,
@@ -186,6 +214,12 @@ def cmd_clt(args) -> int:
 def cmd_decompose(args) -> int:
     if args.modes < 1:
         raise CliError("E_BAD_MODES", str(args.modes))
+    if args.modes > MAX_NETLIST_MODES:
+        raise CliError("E_TOO_LARGE", f"{args.modes} modes exceed {MAX_NETLIST_MODES}")
+    if not math.isfinite(args.theta):
+        raise CliError("E_BAD_THETA", str(args.theta))
+    from . import circuits
+
     gl = circuits.decompose_conv_unitary(args.theta, args.modes)
     text = circuits.emit_netlist(gl)
     if args.out:

@@ -240,6 +240,51 @@ def test_clt_kmax_bound(tmp_path, capsys, engine):
     assert len(out.read_text().splitlines()) == 8
 
 
+def test_clt_checks_kmax_before_the_file(tmp_path, capsys):
+    """A bad --kmax is reported before the state file is read, even when the file is bad too."""
+    bad = tmp_path / "bad.txt"
+    bad.write_text("dim 3\n1 0\n1 0\n1 0\n")
+    for path in (bad, tmp_path / "missing.txt"):
+        assert cli.main(["clt", str(path), "--kmax", "7", "--out", str(tmp_path / "c.csv")]) == 2
+        assert capsys.readouterr().err == "error E_KMAX_RANGE: 7\n"
+
+
+def test_renyi_checks_alpha(tmp_path, capsys, monkeypatch):
+    """--alpha takes 0..inf; nan or a negative order gives E_BAD_ALPHA before the grid is built."""
+    out = tmp_path / "r.csv"
+    for alpha in ("0", "inf"):
+        assert cli.main(["renyi", "--alpha", alpha, "--grid", "3", "--out", str(out)]) == 0
+        text = out.read_text()
+        assert len(text.splitlines()) == 4 and "nan" not in text
+    out.unlink()
+
+    def refuse(phi):
+        raise AssertionError("the stack of states was built")
+
+    monkeypatch.setattr(states, "magic_state", refuse)
+    for alpha in ("nan", "-1", "-inf"):
+        assert cli.main(["renyi", f"--alpha={alpha}", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error E_BAD_ALPHA: {float(alpha)}\n"
+    assert not out.exists()
+
+
+def test_decompose_checks_its_arguments(tmp_path, capsys):
+    """--modes takes 1..MAX_NETLIST_MODES and --theta a finite angle; nothing is written otherwise."""
+    out = tmp_path / "net.txt"
+    top = cli.MAX_NETLIST_MODES
+    assert cli.main(["decompose", "--modes", str(top), "--out", str(out)]) == 0
+    assert out.read_text().startswith(f"qubits {2 * top}\n")
+    out.unlink()
+    for argv, err in ((["--modes", "0"], "E_BAD_MODES: 0"),
+                      (["--modes", str(top + 1)], f"E_TOO_LARGE: {top + 1} modes exceed {top}"),
+                      (["--theta", "nan"], "E_BAD_THETA: nan"),
+                      (["--theta", "inf"], "E_BAD_THETA: inf"),
+                      (["--theta=-inf"], "E_BAD_THETA: -inf")):
+        assert cli.main(["decompose", *argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error {err}\n"
+    assert not out.exists()
+
+
 def test_cli_import_loads_numpy_only():
     src = str(Path(ferro.__file__).resolve().parents[1])
     paths = [src, os.environ.get("PYTHONPATH", "")]
@@ -248,6 +293,43 @@ def test_cli_import_loads_numpy_only():
     res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          timeout=120, check=True)
     assert res.stdout.strip() == "[]"
+
+
+def _fresh_python(code: str) -> str:
+    """stdout of `code` run by a fresh interpreter that imports ferro from this checkout."""
+    paths = [str(Path(ferro.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         timeout=120, check=True)
+    return res.stdout.strip()
+
+
+def test_decompose_and_argument_errors_skip_numpy(tmp_path):
+    """`decompose` and each argument error finish before numpy is imported."""
+    out = str(tmp_path / "x")
+    runs = [
+        ["decompose", "--modes", "2", "--out", out],
+        ["decompose", "--modes", "65"],
+        ["decompose", "--theta", "inf"],
+        ["fig2", "--kmax", "9", "--out", out],
+        ["renyi", "--alpha", "nan", "--out", out],
+        ["weights", "--grid", "1", "--out", out],
+        ["clt", "missing.txt", "--kmax", "7", "--out", out],
+    ]
+    code = ("import sys, ferro, ferro.cli as cli\n"
+            f"print([cli.main(argv) for argv in {runs!r}], 'numpy' in sys.modules)")
+    assert _fresh_python(code) == "[0, 2, 2, 2, 2, 2, 2] False"
+
+
+def test_package_loads_submodules_on_access():
+    """`import ferro` loads no submodule; every name in __all__ resolves to its module."""
+    code = ("import sys, ferro\n"
+            "loaded = sorted(m for m in sys.modules if m.startswith('ferro.'))\n"
+            "listed = set(ferro.__all__) <= set(dir(ferro))\n"
+            "ok = [getattr(ferro, n) is sys.modules['ferro.' + n] for n in ferro.__all__]\n"
+            "from ferro import circuits\n"
+            "print(loaded, listed, all(ok), hasattr(ferro, 'nonexistent'))")
+    assert _fresh_python(code) == "[] True True False"
 
 
 @pytest.mark.parametrize("command,modes", [
