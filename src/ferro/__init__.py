@@ -22,6 +22,14 @@ __all__ = [
 __version__ = "0.1.0"
 
 
+class InputError(ValueError):
+    """Bad input, rejected by the check that `code` names; str(e) is "code: detail" or "code"."""
+
+    def __init__(self, code: str, detail: str = ""):
+        self.code = code
+        super().__init__(f"{code}: {detail}" if detail else code)
+
+
 def __getattr__(name: str):
     if name in __all__:
         # importing a submodule binds it on the package, so this runs once per name

@@ -9,7 +9,8 @@ Sylvester-Hadamard matrix: O(8^n) numpy work and no loop over masks.
 
 The functions a sweep runs (assert_state, is_even, moments, from_moments,
 entropy) also take a stack (..., d, d) of states and act on each; a check
-on a stack fails if any of its states fails it.
+on a stack fails if any of its states fails it.  The checks of outside
+input raise InputError; a wrong shape is the caller's error, a ValueError.
 """
 
 from __future__ import annotations
@@ -19,6 +20,12 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import InputError
+
+# assert_state's bounds on |Tr rho - 1| and ||rho - rho^dag||; the kernels
+# derive their slack on a state's constant term and covariance from EPS_TRACE
+EPS_TRACE = 1e-8
+EPS_HERMITIAN = 1e-8
 EPS_PSD = 1e-9
 EPS_EVEN = 1e-9
 EPS_UNITARY = 1e-9
@@ -46,36 +53,37 @@ def per_state(values: np.ndarray, kind=float):
 
 
 def assert_state(rho: np.ndarray) -> None:
-    """Check finiteness, Hermiticity, unit trace and positivity up to tolerance.
+    """Check finiteness, Hermiticity, unit trace and positivity up to tolerance; E_NOT_A_STATE.
 
     rho may be a stack (..., d, d); it fails if any of its states fails.
     """
     stack_qubits(rho)
     if not np.isfinite(rho).all():
-        raise ValueError("state has non-finite entries")
-    if np.any(np.linalg.norm(rho - rho.conj().swapaxes(-1, -2), axis=(-2, -1)) > 1e-8):
-        raise ValueError("state is not Hermitian")
-    if np.any(np.abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0) > 1e-8):
-        raise ValueError("state trace differs from 1")
+        raise InputError("E_NOT_A_STATE", "state has non-finite entries")
+    if np.any(np.linalg.norm(rho - rho.conj().swapaxes(-1, -2), axis=(-2, -1)) > EPS_HERMITIAN):
+        raise InputError("E_NOT_A_STATE", "state is not Hermitian")
+    if np.any(np.abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0) > EPS_TRACE):
+        raise InputError("E_NOT_A_STATE", "state trace differs from 1")
     if np.linalg.eigvalsh(rho).min() < -EPS_PSD:
-        raise ValueError("state has a negative eigenvalue beyond tolerance")
+        raise InputError("E_NOT_A_STATE", "state has a negative eigenvalue beyond tolerance")
 
 
 def assert_even_state(rho: np.ndarray) -> None:
-    """assert_state, then raise ValueError unless rho commutes with the parity operator."""
+    """assert_state, then E_NOT_EVEN_STATE unless rho commutes with the parity operator."""
     assert_state(rho)
     if not np.all(is_even(rho)):
-        raise ValueError("state is not even")
+        raise InputError("E_NOT_EVEN_STATE", "state is not even")
 
 
 def assert_unitary(u: np.ndarray) -> None:
+    """Check finiteness and U^dag U = I within EPS_UNITARY; E_NOT_UNITARY otherwise."""
     n = num_qubits(u)
     if not np.isfinite(u).all():
-        raise ValueError("matrix has non-finite entries")
+        raise InputError("E_NOT_UNITARY", "matrix has non-finite entries")
     d = 1 << n
     res = np.linalg.norm(u.conj().T @ u - np.eye(d)) / math.sqrt(d)
     if res > EPS_UNITARY:
-        raise ValueError("matrix is not unitary within tolerance")
+        raise InputError("E_NOT_UNITARY", "matrix is not unitary within tolerance")
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,9 @@ import numpy as np
 from . import clifford, grassmann
 
 EPS_ANTISYM = 1e-10
-EPS_CONTRACT = 1e-9
+# Sigma scales with the trace, so Sigma^T Sigma <= Tr(rho)^2 <= (1 + EPS_TRACE)^2;
+# the rest of the slack covers rounding
+EPS_CONTRACT = 3 * clifford.EPS_TRACE
 
 
 def _check_antisymmetric(m: np.ndarray, eps: float = EPS_ANTISYM) -> None:

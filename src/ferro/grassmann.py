@@ -29,6 +29,10 @@ import numpy as np
 from . import clifford
 from .clifford import popcounts
 
+# a validated state's moment table has its trace, 1 within EPS_TRACE, as
+# constant term; the rest of the slack covers the transform's rounding
+EPS_UNIT = 2 * clifford.EPS_TRACE
+
 
 @dataclass(frozen=True)
 class GrassmannPoly:
@@ -224,7 +228,7 @@ def g_log(p: GrassmannPoly) -> GrassmannPoly:
 
     The series in x = p - 1 stops once x^k must vanish, as in g_exp.
     """
-    if np.any(np.abs(p.coeffs[..., 0] - 1.0) > 1e-9):
+    if np.any(np.abs(p.coeffs[..., 0] - 1.0) > EPS_UNIT):
         raise ValueError("g_log needs a unit constant term")
     x = GrassmannPoly(p.generators, p.coeffs.copy())
     x.coeffs[..., 0] = 0.0

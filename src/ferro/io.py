@@ -2,7 +2,8 @@
 
 State files are line-oriented: a header `dim <2^q>` followed by one complex
 entry per line as `re im`.  A file with dim^2 entry lines holds a matrix in
-row-major order; a file with dim entry lines holds a state vector.
+row-major order; a file with dim entry lines holds a state vector.  A
+malformed file raises InputError with the fault's code and the line at fault.
 """
 
 from __future__ import annotations
@@ -11,44 +12,40 @@ import cmath
 
 import numpy as np
 
-
-class FormatError(ValueError):
-    def __init__(self, code: str, detail: str = ""):
-        self.code = code
-        super().__init__(f"{code}: {detail}" if detail else code)
+from . import InputError
 
 
 def parse_array(text: str):
     """Parse a state file; returns (array, kind) with kind 'vector' or 'matrix'."""
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines:
-        raise FormatError("E_EMPTY_FILE")
+        raise InputError("E_EMPTY_FILE")
     head = lines[0].split()
     if len(head) != 2 or head[0] != "dim":
-        raise FormatError("E_BAD_HEADER", lines[0])
+        raise InputError("E_BAD_HEADER", lines[0])
     try:
         dim = int(head[1])
     except ValueError:
-        raise FormatError("E_BAD_HEADER", lines[0]) from None
+        raise InputError("E_BAD_HEADER", lines[0]) from None
     if dim <= 0 or dim & (dim - 1):
-        raise FormatError("E_DIM_NOT_POWER_OF_TWO", str(dim))
+        raise InputError("E_DIM_NOT_POWER_OF_TWO", str(dim))
     entries = []
     for ln in lines[1:]:
         parts = ln.split()
         if len(parts) != 2:
-            raise FormatError("E_BAD_ENTRY", ln)
+            raise InputError("E_BAD_ENTRY", ln)
         try:
             z = complex(float(parts[0]), float(parts[1]))
         except ValueError:
-            raise FormatError("E_BAD_ENTRY", ln) from None
+            raise InputError("E_BAD_ENTRY", ln) from None
         if not cmath.isfinite(z):
-            raise FormatError("E_NONFINITE", ln)
+            raise InputError("E_NONFINITE", ln)
         entries.append(z)
     if len(entries) == dim:
         return np.array(entries), "vector"
     if len(entries) == dim * dim:
         return np.array(entries).reshape(dim, dim), "matrix"
-    raise FormatError("E_ENTRY_COUNT", f"got {len(entries)}, expected {dim} or {dim * dim}")
+    raise InputError("E_ENTRY_COUNT", f"got {len(entries)}, expected {dim} or {dim * dim}")
 
 
 def write_array(a: np.ndarray) -> str:
@@ -59,7 +56,7 @@ def write_array(a: np.ndarray) -> str:
         dim = a.shape[0]
         flat = a.reshape(-1)
     else:
-        raise FormatError("E_BAD_SHAPE", str(a.shape))
+        raise InputError("E_BAD_SHAPE", str(a.shape))
     lines = [f"dim {dim}"]
     for z in flat:
         lines.append(f"{fmt(z.real)} {fmt(z.imag)}")

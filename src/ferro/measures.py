@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from . import clifford, convolution, gaussian, grassmann
+from . import InputError, clifford, convolution, gaussian, grassmann
 
 EPS_PURE = 1e-8
 
@@ -58,10 +58,10 @@ def ng_relative_entropy(rho: np.ndarray):
 
 
 def assert_pure(psi: np.ndarray) -> None:
-    """Check Tr psi^2 = 1 within EPS_PURE for a state psi, or for every state of a stack."""
+    """Check Tr psi^2 = 1 within EPS_PURE for a state or every state of a stack; E_NOT_PURE."""
     purity = np.real(np.trace(psi @ psi, axis1=-2, axis2=-1))
     if np.any(np.abs(purity - 1.0) > EPS_PURE):
-        raise ValueError("input is not pure within tolerance")
+        raise InputError("E_NOT_PURE", "input is not pure within tolerance")
 
 
 def ng_entropies(psi: np.ndarray, kmax: int, alpha: float = 1.0) -> list:

@@ -35,7 +35,7 @@ def test_parse_vector_and_matrix(tmp_path):
     ],
 )
 def test_parse_errors(text, code):
-    with pytest.raises(io.FormatError) as exc:
+    with pytest.raises(ferro.InputError) as exc:
         io.parse_array(text)
     assert exc.value.code == code
 
@@ -211,6 +211,40 @@ def test_cli_rejects_zero_vector(tmp_path, capsys, dim):
 def test_cli_rejects_mixed_state(tmp_path, capsys):
     rho = np.diag([0.5, 0.0, 0.0, 0.5]).astype(complex)  # even, Gaussian, mixed
     _rejects(tmp_path, capsys, ["test-state"], io.write_array(rho), "E_NOT_PURE")
+
+
+def test_cli_test_unitary_rejects(tmp_path, capsys):
+    """A vector gives E_EXPECTED_MATRIX; a matrix that is not unitary, E_NOT_UNITARY."""
+    for engine in ("dense", "cumulant"):
+        argv = ["test-unitary", "--engine", engine]
+        _rejects(tmp_path, capsys, argv, io.write_array(np.eye(4, dtype=complex)[0]),
+                 "E_EXPECTED_MATRIX")
+        _rejects(tmp_path, capsys, argv, io.write_array(2 * np.eye(4, dtype=complex)),
+                 "E_NOT_UNITARY: matrix is not unitary within tolerance")
+
+
+def test_cli_file_and_output_errors(tmp_path, capsys):
+    """An unreadable input gives E_FILE; an --out that cannot be written, E_IO."""
+    assert cli.main(["test-state", str(tmp_path / "missing.txt")]) == 2
+    assert capsys.readouterr().err.startswith("error E_FILE: ")
+    assert cli.main(["fig2", "--kmax", "1", "--grid", "3", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error E_IO: ")
+
+
+def test_cli_parse_errors_keep_their_detail(tmp_path, capsys):
+    _rejects(tmp_path, capsys, ["test-state"], "size 4\n1 0\n", "E_BAD_HEADER: size 4\n")
+
+
+def test_readme_lists_every_error_code():
+    """The codes README documents are the codes the source raises."""
+    import re
+
+    code = re.compile(r"\bE_[A-Z][A-Z0-9_]*")
+    root = Path(ferro.__file__).resolve().parent
+    raised = {c for f in root.glob("*.py") for c in code.findall(f.read_text())}
+    readme = (root.parents[1] / "README.md").read_text()
+    assert "E_BAD_SHAPE" in raised and "E_IO" in raised
+    assert set(code.findall(readme)) == raised
 
 
 def test_clt_checks_the_state_before_its_parity(tmp_path, capsys):
@@ -448,7 +482,8 @@ def test_cli_bounds_the_grid(tmp_path, capsys, monkeypatch, command):
 
 
 def _parity_gap_files(tmp_path):
-    """The parity-gap inputs, (|00> + 1e-5 |01>) and exp(i 1e-6 X), and two plain states."""
+    """The parity-gap inputs, (|00> + 1e-5 |01>) and exp(i 1e-6 X), two plain states, and
+    a state whose trace is 1 + 5e-9, inside assert_state's slack."""
     t = 1e-6
     files = {
         "gap-state": np.array([1.0, 1e-5, 0.0, 0.0], dtype=complex),
@@ -456,6 +491,7 @@ def _parity_gap_files(tmp_path):
                                  [1j * math.sin(t), math.cos(t)]]),
         "vector": states.magic_state_vector(2.0),
         "matrix": states.magic_state(2.0),
+        "trace-slack": states.magic_state(2.0) * (1 + 5e-9),
     }
     for name, a in files.items():
         (tmp_path / f"{name}.txt").write_text(io.write_array(a))
@@ -484,3 +520,20 @@ def test_cli_never_raises(tmp_path, capsys, command):
         if (command, name) == ("test-unitary", "gap-unitary"):
             assert rc == 0
             assert "verdict: non-gaussian\nreason: not-even\n" in captured.out
+
+
+@pytest.mark.parametrize("engine", ["dense", "cumulant"])
+def test_clt_takes_the_trace_slack_of_assert_state(tmp_path, engine):
+    """clt runs on a state whose trace is 1 -+ 5e-9 and agrees with trace 1 to 1e-7."""
+    f = tmp_path / "psi.txt"
+
+    def rows(scale):
+        f.write_text(io.write_array(states.magic_state(2.0) * scale))
+        out = tmp_path / "c.csv"
+        assert cli.main(["clt", str(f), "--kmax", "6", "--engine", engine,
+                         "--out", str(out)]) == 0
+        return np.loadtxt(out, delimiter=",", skiprows=1)
+
+    base = rows(1.0)
+    for scale in (1 - 5e-9, 1 + 5e-9):
+        np.testing.assert_allclose(rows(scale), base, rtol=1e-7, atol=1e-7)

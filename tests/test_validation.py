@@ -157,6 +157,41 @@ def test_rejects_non_state(name):
         {**EVEN_ONLY, **ANY_STATE}[name](NOT_A_STATE)
 
 
+def test_input_errors_carry_their_check_code():
+    """Each check of outside input raises InputError, a ValueError, with its own code."""
+    cases = [(clifford.assert_state, NOT_A_STATE, "E_NOT_A_STATE"),
+             (clifford.assert_even_state, ODD, "E_NOT_EVEN_STATE"),
+             (clifford.assert_unitary, 2 * np.eye(4), "E_NOT_UNITARY"),
+             (measures.assert_pure, np.eye(16) / 16, "E_NOT_PURE")]
+    for check, arg, code in cases:
+        with pytest.raises(ferro.InputError) as exc:
+            check(arg)
+        assert isinstance(exc.value, ValueError) and exc.value.code == code
+        assert str(exc.value).startswith(f"{code}: ")
+    assert str(ferro.InputError("E_ZERO_VECTOR")) == "E_ZERO_VECTOR"
+    with pytest.raises(ValueError) as exc:  # a shape is the caller's error, not input
+        clifford.assert_state(np.eye(3))
+    assert not isinstance(exc.value, ferro.InputError)
+
+
+@pytest.mark.parametrize("phi", [0.0, 2.0])
+@pytest.mark.parametrize("scale", [1 - 5e-9, 1 + 5e-9])
+def test_kernels_take_the_trace_slack_of_assert_state(phi, scale):
+    """A state whose trace is off by 5e-9 passes assert_state, and the kernels behind it run
+    and agree with the state of unit trace to 1e-7."""
+    from ferro import states
+
+    base = states.magic_state(phi)
+    rho = base * scale
+    clifford.assert_even_state(rho)
+    for kernel in (lambda r: grassmann.cumulants(r).coeffs, gaussian.gaussification):
+        assert np.abs(kernel(rho) - kernel(base)).max() < 1e-7
+    # a pure Gaussian state of trace 1 - 5e-9 has the covariance of a state mixed by
+    # 2.5e-9 per mode, whose entropy -x log x lifts to 2.0e-7
+    tol = 3e-7 if (phi, scale) == (0.0, 1 - 5e-9) else 1e-7
+    assert abs(measures.ng_relative_entropy(rho) - measures.ng_relative_entropy(base)) < tol
+
+
 def test_state_test_gives_not_even_verdict():
     """The pure-state protocol decides a state of indefinite parity instead of raising."""
     res = testing.gaussian_state_test(ODD)
@@ -225,8 +260,8 @@ def test_validates_once(monkeypatch, name):
     assert len(calls) == 1
 
 
-def test_test_state_validates_twice(tmp_path, monkeypatch, capsys):
-    """test-state checks its state at the CLI's boundary and once more in gaussian_state_test."""
+def test_test_state_validates_once(tmp_path, monkeypatch, capsys):
+    """test-state leaves the check of its state to gaussian_state_test."""
     from ferro import io, states
 
     f = tmp_path / "psi.txt"
@@ -234,7 +269,7 @@ def test_test_state_validates_twice(tmp_path, monkeypatch, capsys):
     calls = count_state_checks(monkeypatch)
     assert cli.main(["test-state", str(f)]) == 0
     assert "even: yes" in capsys.readouterr().out
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("engine", ["dense", "cumulant"])
@@ -249,10 +284,10 @@ def test_clt_validates_once(tmp_path, monkeypatch, engine):
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("engine,checks", [("cumulant", 2), ("dense", 3)])
+@pytest.mark.parametrize("engine,checks", [("cumulant", 1), ("dense", 2)])
 def test_test_unitary_validates(tmp_path, monkeypatch, engine, checks):
-    """test-unitary checks U at the boundary and in the parity test; the dense engine's
-    Choi state checks it once more."""
+    """test-unitary leaves the check of U to the parity test; the dense engine's Choi state
+    checks it once more."""
     from ferro import io
 
     f = tmp_path / "cz.txt"
