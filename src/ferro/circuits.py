@@ -9,31 +9,31 @@ n+m next to mode m without disturbing the Jordan-Wigner strings.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 GATE_NAMES = ("x", "h", "s", "sdg", "rz", "cz", "swap")
 
 
-@dataclass(frozen=True)
-class Gate:
-    name: str
-    targets: tuple
-    param: float | None = None
+class Gate(namedtuple("Gate", "name targets param", defaults=(None,))):
+    """One gate: a name from GATE_NAMES, a tuple of target qubits and rz's angle."""
 
-    def __post_init__(self):
-        if self.name not in GATE_NAMES:
-            raise ValueError(f"unknown gate {self.name!r}")
-        want_two = self.name in ("cz", "swap")
-        if len(self.targets) != (2 if want_two else 1):
-            raise ValueError(f"gate {self.name} takes {'two targets' if want_two else 'one target'}")
-        if (self.param is not None) != (self.name == "rz"):
+    __slots__ = ()
+
+    def __new__(cls, name: str, targets: tuple, param: float | None = None):
+        if name not in GATE_NAMES:
+            raise ValueError(f"unknown gate {name!r}")
+        want_two = name in ("cz", "swap")
+        if len(targets) != (2 if want_two else 1):
+            raise ValueError(f"gate {name} takes {'two targets' if want_two else 'one target'}")
+        if (param is not None) != (name == "rz"):
             raise ValueError("only rz carries an angle parameter")
+        return super().__new__(cls, name, targets, param)
 
 
-@dataclass
 class GateList:
-    qubits: int
-    gates: list = field(default_factory=list)
+    def __init__(self, qubits: int):
+        self.qubits = qubits
+        self.gates = []
 
     def append(self, name: str, *targets: int, param: float | None = None) -> None:
         for t in targets:

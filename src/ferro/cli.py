@@ -49,11 +49,15 @@ def _phi_grid(points: int):
 def cmd_fig2(args) -> int:
     kmax = _check_kmax(args.kmax, 1, 4)
     grid = _phi_grid(args.grid)
-    from . import io, measures, states
+    from . import grassmann, io, measures, states
 
     psi = states.magic_state(grid)
-    cols = measures.ng_entropies(psi, kmax)
-    cols.append(measures.ng_relative_entropy(psi))
+    # one moment table feeds NG_inf and the doubling iterates
+    xi = grassmann.even_fourier(psi)
+    measures.assert_pure(psi)
+    ng_inf = measures._ng_relative_entropy(xi, psi)
+    del psi  # the doubling loop needs only the table; the states would add a stack to its peak
+    cols = measures._ng_entropies(xi, kmax) + [ng_inf]
     header = ["phi"] + [f"NG_k{k}" for k in range(1, kmax + 1)] + ["NG_inf"]
     io.write_csv(args.out, header, _rows(grid, cols))
     return 0
@@ -168,13 +172,11 @@ def cmd_clt(args) -> int:
 
     xi = grassmann.even_fourier(rho)
     # one moment table gives the iterates, the cumulant polynomial (every
-    # row's bound) and the limit G(rho), the Gaussian with the table's
-    # degree-2 moments; distances by moment-domain Parseval,
+    # row's bound) and the limit G(rho); distances by moment-domain Parseval,
     # ||rho - g||_2 = 2^-n sqrt(sum_J |rho_J - g_J|^2)
     psi = grassmann.cumulants_from_moments(xi)
     _, k_g, k_m, _ = measures.polynomial_weights(psi)
-    g_mom = grassmann.GrassmannPoly(xi.generators,
-                                    gaussian.wick_moments(gaussian._covariance(xi.coeffs)))
+    g_mom = gaussian.gaussification_moments(xi)
     rows = []
     for k in range(kmax + 1):
         if k:

@@ -226,6 +226,11 @@ def _clamped_spectrum(rho: np.ndarray) -> np.ndarray:
     return np.clip(w, 0.0, 1.0)
 
 
+def _von_neumann(w: np.ndarray):
+    """-sum_i w_i log w_i over the last axis of a spectrum in [0, 1], with 0 log 0 = 0."""
+    return per_state(-np.sum(w * np.log(np.where(w > 0, w, 1.0)), axis=-1))
+
+
 def entropy(rho: np.ndarray, alpha: float = 1.0):
     """Renyi entropy S_alpha in nats; alpha=1 is von Neumann, 0 log-rank, inf min-entropy.
 
@@ -235,7 +240,7 @@ def entropy(rho: np.ndarray, alpha: float = 1.0):
         raise ValueError("Renyi order must be nonnegative")
     w = _clamped_spectrum(rho)
     if alpha == 1.0:
-        return per_state(-np.sum(w * np.log(np.where(w > 0, w, 1.0)), axis=-1))
+        return _von_neumann(w)
     if alpha == 0.0:
         return per_state(np.log(np.count_nonzero(w > EPS_RANK, axis=-1)))
     if math.isinf(alpha):

@@ -5,8 +5,10 @@ an even index set J is i^{|J|/2} Pf(Sigma_|J) (Wick's theorem), filled by
 one Pfaffian recursion (wick_moments) rather than from
 exp(i/2 gamma^T h gamma): the quadratic-Hamiltonian parameterization
 degenerates for pure states (nu -> inf) while the Wick route is exact at
-|lambda| = 1.  covariance, wick_moments, gaussian_from_covariance and
-gaussification also take a stack of states or covariances and act on each.
+|lambda| = 1.  G(rho)'s covariance is read off a moment table in one
+place, _gaussified_covariance; no CLI path builds the dense gaussification.
+covariance, wick_moments, gaussian_from_covariance, gaussification_moments
+and gaussification also take a stack of states or covariances and act on each.
 """
 
 from __future__ import annotations
@@ -109,13 +111,24 @@ def gaussian_from_covariance(sigma: np.ndarray) -> np.ndarray:
     return clifford.from_moments(wick_moments(sigma), sigma.shape[-1] // 2)
 
 
-def gaussification(rho: np.ndarray) -> np.ndarray:
-    """Gaussian state with the same covariance as the even state rho."""
-    sigma = _covariance(grassmann.even_fourier(rho).coeffs)
-    # rounding can push Sigma^T Sigma marginally past I; renormalize where it does
+def _gaussified_covariance(mom: np.ndarray) -> np.ndarray:
+    """Covariance Sigma / Tr rho of G(rho) from rho's moment table (..., 4^n).
+
+    Rounding can push Sigma^T Sigma marginally past I; Sigma is rescaled where it does.
+    """
+    sigma = _covariance(mom) / mom[..., 0].real[..., None, None]
     ev = np.linalg.eigvalsh(sigma.swapaxes(-1, -2) @ sigma).max(axis=-1)
-    return gaussian_from_covariance(
-        sigma / np.sqrt(np.clip(ev, 1.0, 1.0 + EPS_CONTRACT))[..., None, None])
+    return sigma / np.sqrt(np.clip(ev, 1.0, 1.0 + EPS_CONTRACT))[..., None, None]
+
+
+def gaussification_moments(xi: grassmann.GrassmannPoly) -> grassmann.GrassmannPoly:
+    """Moment polynomial of G(rho) from that of the even state rho, as even_fourier returns it."""
+    return grassmann.GrassmannPoly(xi.generators, wick_moments(_gaussified_covariance(xi.coeffs)))
+
+
+def gaussification(rho: np.ndarray) -> np.ndarray:
+    """Gaussian state G(rho) with the same covariance as the even state rho."""
+    return grassmann.inverse_fourier(gaussification_moments(grassmann.even_fourier(rho)))
 
 
 def quadratic_hamiltonian(h: np.ndarray, n: int) -> np.ndarray:

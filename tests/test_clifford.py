@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from ferro import clifford, gaussian
+from ferro import clifford, gaussian, measures
 
-from helpers import parity_operator, random_even_state, random_state, relative_entropy
+from helpers import (parity_operator, random_even_state, random_gaussian_state,
+                     random_pure_even_state, random_state, relative_entropy)
 from oracles import compute_reference
 
 I2 = np.eye(2)
@@ -175,3 +176,10 @@ def test_relative_entropy_to_gaussification(rng):
     lhs = relative_entropy(rho, g)
     rhs = clifford.entropy(g) - clifford.entropy(rho)
     assert abs(lhs - rhs) < 1e-8
+    # ng_relative_entropy reads S(G(rho)) off the covariance's spectrum; the dense
+    # Gaussification is its oracle
+    for n in range(1, 6):
+        for rho in (random_even_state(rng, n), random_pure_even_state(rng, n),
+                    random_gaussian_state(rng, n)):
+            dense = clifford.entropy(gaussian.gaussification(rho)) - clifford.entropy(rho)
+            assert abs(measures.ng_relative_entropy(rho) - dense) < 1e-12

@@ -94,12 +94,15 @@ def test_cli_test_state_prints_margin(tmp_path, capsys):
 
 
 def test_cli_sweeps_compute_columns(tmp_path, monkeypatch):
-    """fig2 runs its grid as one stack: 4 doublings, any grid; Gaussification makes no product."""
-    from ferro import grassmann
+    """fig2 runs its grid as one stack: 4 doublings, any grid; NG_inf makes no product and
+    builds no Gaussian state, only its covariance's spectrum."""
+    from ferro import gaussian, grassmann
 
     calls = []
     g_mul = grassmann.g_mul
     monkeypatch.setattr(grassmann, "g_mul", lambda p, q: calls.append(1) or g_mul(p, q))
+    for name in ("wick_moments", "gaussification"):
+        monkeypatch.setattr(gaussian, name, lambda *_, name=name: pytest.fail(f"calls {name}"))
     for grid in (3, 9):
         calls.clear()
         assert cli.main(["fig2", "--kmax", "4", "--grid", str(grid),
@@ -351,8 +354,9 @@ def test_decompose_and_argument_errors_skip_numpy(tmp_path):
         ["clt", "missing.txt", "--kmax", "7", "--out", out],
     ]
     code = ("import sys, ferro, ferro.cli as cli\n"
-            f"print([cli.main(argv) for argv in {runs!r}], 'numpy' in sys.modules)")
-    assert _fresh_python(code) == "[0, 2, 2, 2, 2, 2, 2] False"
+            f"print([cli.main(argv) for argv in {runs!r}], 'numpy' in sys.modules,"
+            " 'dataclasses' in sys.modules)")
+    assert _fresh_python(code) == "[0, 2, 2, 2, 2, 2, 2] False False"
 
 
 def test_package_loads_submodules_on_access():
