@@ -55,7 +55,8 @@ def cmd_fig2(args) -> int:
     # one moment table feeds NG_inf and the doubling iterates
     xi = grassmann.even_fourier(psi)
     measures.assert_pure(psi)
-    ng_inf = measures._ng_relative_entropy(xi, psi)
+    # NG_inf = S(G(psi)) - S(psi), and S(psi) = 0 for the certified pure states
+    ng_inf = measures._gaussified_entropy(xi)
     del psi  # the doubling loop needs only the table; the states would add a stack to its peak
     cols = measures._ng_entropies(xi, kmax) + [ng_inf]
     header = ["phi"] + [f"NG_k{k}" for k in range(1, kmax + 1)] + ["NG_inf"]
@@ -171,18 +172,15 @@ def cmd_clt(args) -> int:
     from . import convolution, gaussian, grassmann, io, measures
 
     xi = grassmann.even_fourier(rho)
-    # one moment table gives the iterates, the cumulant polynomial (every
-    # row's bound) and the limit G(rho); distances by moment-domain Parseval,
+    # one moment table gives the iterates, the cumulants (every row's bound)
+    # and the limit G(rho); distances by moment-domain Parseval,
     # ||rho - g||_2 = 2^-n sqrt(sum_J |rho_J - g_J|^2)
-    psi = grassmann.cumulants_from_moments(xi)
-    _, k_g, k_m, _ = measures.polynomial_weights(psi)
+    _, k_g, k_m, _ = measures.polynomial_weights(grassmann.cumulants_from_moments(xi))
     g_mom = gaussian.gaussification_moments(xi)
     rows = []
     for k in range(kmax + 1):
         if k:
-            # the dense engine iterates the channel, the cumulant engine rescales the cumulants
-            xi = (convolution.convolve_moments(xi, xi) if args.engine == "dense"
-                  else grassmann.g_exp(convolution.doubling_cumulants(psi, k)))
+            xi = convolution.convolve_moments(xi, xi)
         dist = grassmann.l2_norm(xi - g_mom) / rho.shape[0]
         rows.append([k, dist, measures.clt_bound_from_weights(k_g, k_m, k)])
     io.write_csv(args.out, ["k", "distance", "bound"], rows)
@@ -242,7 +240,8 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("clt", help="convergence distances and bounds")
     c.add_argument("statefile")
     c.add_argument("--kmax", type=int, default=4)
-    c.add_argument("--engine", choices=("dense", "cumulant"), default="dense")
+    # selects nothing; kept only because the benchmark passes it, and leaves with its change
+    c.add_argument("--engine", choices=("dense", "cumulant"), help=argparse.SUPPRESS)
     c.add_argument("--out", required=True)
     c.set_defaults(fn=cmd_clt)
 

@@ -4,14 +4,12 @@ There is one engine.  For even states the channel
 Tr_2[W_theta (rho ox sigma) W_theta^dag] is a product in the moment domain,
 Xi_out(eta) = Xi_rho(cos(theta) eta) * Xi_sigma(sin(theta) eta), so the
 output is one Grassmann product of two contracted moment polynomials
-(convolve_moments); in the cumulant domain the same product is the sum
-Psi_out = xi_cos Psi_rho + xi_sin Psi_sigma.  States are validated once, on
-entry; iterated convolutions stay moment polynomials until the last
-iterate.  conv_unitary builds the dense
-2n-qubit W_theta on request; no runtime path calls it.  It is the tests'
-oracle of the channel and of the gate compiler's netlists, and it stays in
-the package while the benchmark names it as a per-layer metric (until the
-benchmark change).
+(convolve_moments).  States are validated once, on entry; iterated
+convolutions stay moment polynomials until the last iterate.  conv_unitary
+builds the dense 2n-qubit W_theta on request; no runtime path calls it.  It
+is the tests' oracle of the channel and of the gate compiler's netlists, and
+it stays in the package while the benchmark names it as a per-layer metric
+(until the benchmark change).
 """
 
 from __future__ import annotations
@@ -20,7 +18,7 @@ import math
 
 import numpy as np
 
-from . import clifford, gaussian, grassmann
+from . import gaussian, grassmann
 from .grassmann import GrassmannPoly
 
 DEFAULT_THETA = math.pi / 4
@@ -70,15 +68,6 @@ def complementary_convolve(rho: np.ndarray, sigma: np.ndarray,
     return convolve(rho, sigma, math.pi / 2 - theta)
 
 
-def convolve_cumulant(psi_rho: GrassmannPoly, psi_sigma: GrassmannPoly,
-                      theta: float = DEFAULT_THETA) -> GrassmannPoly:
-    """Cumulant-domain convolution: kappa_J -> cos^|J| kappa^rho_J + sin^|J| kappa^sigma_J."""
-    psi_rho._check(psi_sigma)
-    return grassmann.contract(psi_rho, math.cos(theta)) + grassmann.contract(
-        psi_sigma, math.sin(theta)
-    )
-
-
 def iterate_conv(rho: np.ndarray, k: int) -> np.ndarray:
     """k-fold doubling self-convolution at theta = pi/4 of an even state.
 
@@ -92,13 +81,6 @@ def iterate_conv(rho: np.ndarray, k: int) -> np.ndarray:
     for _ in range(k):
         xi = convolve_moments(xi, xi)
     return grassmann.inverse_fourier(xi)
-
-
-def doubling_cumulants(psi: GrassmannPoly, k: int) -> GrassmannPoly:
-    """Cumulants of the k-fold doubling iterate: kappa_J scaled by 2^{k(1 - |J|/2)}."""
-    pc = clifford.popcounts(psi.generators)
-    scale = np.power(2.0, k * (1.0 - pc / 2.0))
-    return GrassmannPoly(psi.generators, psi.coeffs * scale)
 
 
 def iterate_conv_linear(rho: np.ndarray, m: int) -> np.ndarray:

@@ -3,7 +3,7 @@
 assert_pure, ng_entropies, ng_relative_entropy, cumulant_weights and
 polynomial_weights also take a stack of states (or of cumulant polynomials)
 and give one value per state where they give a float for one state.
-_ng_entropies and _ng_relative_entropy take a validated moment table, so
+_ng_entropies and _gaussified_entropy take a validated moment table, so
 fig2 reads its stack's table once for both.
 """
 
@@ -54,19 +54,21 @@ def polynomial_weights(psi: grassmann.GrassmannPoly):
 
 def ng_relative_entropy(rho: np.ndarray):
     """Relative entropy of non-Gaussianity S(G(rho)) - S(rho) of an even state."""
-    return _ng_relative_entropy(grassmann.even_fourier(rho), rho)
+    val = _gaussified_entropy(grassmann.even_fourier(rho)) - clifford.entropy(rho)
+    return clifford.per_state(np.maximum(val, 0.0))
 
 
-def _ng_relative_entropy(xi: grassmann.GrassmannPoly, rho: np.ndarray):
-    """ng_relative_entropy of rho, already validated, from its moment polynomial xi.
+def _gaussified_entropy(xi: grassmann.GrassmannPoly):
+    """S(G(rho)) of a validated even state, or of a stack, from its moment polynomial xi.
 
     G(rho)'s covariance has eigenvalues +-i nu_j, so S(G(rho)) is the von
     Neumann entropy of the 2n numbers (1 +- nu_j)/2 (Peschel): one
-    2n x 2n spectrum in place of the 2^n x 2^n Gaussian state's.
+    2n x 2n spectrum in place of the 2^n x 2^n Gaussian state's.  For a pure
+    rho it is the relative entropy of non-Gaussianity itself.
     """
     lam = np.linalg.eigvalsh(1j * gaussian._gaussified_covariance(xi.coeffs))
-    val = clifford._von_neumann(np.clip((1.0 + lam) / 2, 0.0, 1.0)) - clifford.entropy(rho)
-    return clifford.per_state(np.maximum(val, 0.0))
+    # clamped so that a Gaussian's rounding reads 0, not -0
+    return np.maximum(clifford._von_neumann(np.clip((1.0 + lam) / 2, 0.0, 1.0)), 0.0)
 
 
 def assert_pure(psi: np.ndarray) -> None:

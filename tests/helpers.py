@@ -148,6 +148,20 @@ def dense_complementary(rho, sigma, theta=convolution.DEFAULT_THETA):
     return np.einsum("kikj->ij", _dense_joint(rho, sigma, theta).reshape(d, d, d, d))
 
 
+def convolve_cumulant(psi_rho, psi_sigma, theta=convolution.DEFAULT_THETA):
+    """Cumulant-domain channel: kappa_J -> cos^|J| kappa^rho_J + sin^|J| kappa^sigma_J."""
+    psi_rho._check(psi_sigma)
+    a = grassmann.contract(psi_rho, math.cos(theta)).coeffs
+    b = grassmann.contract(psi_sigma, math.sin(theta)).coeffs
+    return grassmann.GrassmannPoly(psi_rho.generators, a + b)
+
+
+def doubling_cumulants(psi, k):
+    """Cumulants of the k-fold doubling iterate: kappa_J scaled by 2^{k(1 - |J|/2)}."""
+    scale = np.power(2.0, k * (1.0 - grassmann.popcounts(psi.generators) / 2.0))
+    return grassmann.GrassmannPoly(psi.generators, psi.coeffs * scale)
+
+
 def relative_entropy(rho, sigma, support_eps=1e-9):
     """D(rho||sigma) = Tr rho log rho - Tr rho log sigma, in nats.
 

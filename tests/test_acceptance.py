@@ -25,6 +25,7 @@ from ferro import (
 )
 
 from helpers import (
+    convolve_cumulant,
     dense_convolve,
     gate_list_to_unitary,
     phase_invariant_distance,
@@ -69,7 +70,7 @@ def test_cumulant_engine_matches_dense_convolution(rng):
         rho = random_even_state(rng, n)
         sigma = random_even_state(rng, n)
         dense = dense_convolve(rho, sigma, theta)
-        psi = convolution.convolve_cumulant(
+        psi = convolve_cumulant(
             grassmann.cumulants(rho),
             grassmann.cumulants(sigma),
             theta,

@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 from ferro import clifford, convolution, gaussian, grassmann
 
 from helpers import (
+    convolve_cumulant,
     dense_complementary,
     dense_convolve,
+    doubling_cumulants,
     random_even_state,
     random_gaussian_state,
     random_gaussian_unitary,
@@ -107,9 +109,7 @@ def test_cumulant_engine_matches_dense(rng):
         rho = random_even_state(rng, 2)
         sigma = random_even_state(rng, 2)
         dense = dense_convolve(rho, sigma, theta)
-        psi = convolution.convolve_cumulant(
-            grassmann.cumulants(rho), grassmann.cumulants(sigma), theta
-        )
+        psi = convolve_cumulant(grassmann.cumulants(rho), grassmann.cumulants(sigma), theta)
         back = grassmann.inverse_fourier(grassmann.g_exp(psi))
         assert np.abs(dense - back).max() < 1e-9
 
@@ -117,21 +117,24 @@ def test_cumulant_engine_matches_dense(rng):
 def test_quadratic_cumulants_preserved_in_self_convolution(rng):
     rho = random_even_state(rng, 2)
     psi = grassmann.cumulants(rho)
-    out = convolution.convolve_cumulant(psi, psi, math.pi / 4)
+    out = convolve_cumulant(psi, psi, math.pi / 4)
     sel = grassmann.popcounts(4) == 2
     assert np.abs(out.coeffs[sel] - psi.coeffs[sel]).max() < 1e-10
 
 
-def test_iterate_conv(rng):
-    rho = random_even_state(rng, 2)
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_iterate_conv(rng, n):
+    """The iterated channel, against the dense channel and the CLT's cumulant rescaling."""
+    rho = random_even_state(rng, n)
     assert convolution.iterate_conv(rho, 0) is rho
+    psi = grassmann.cumulants(rho)
     dense = rho
-    for k in (1, 2, 3):
+    for k in range(1, 7):
         dense = dense_convolve(dense, dense)
-        assert np.abs(convolution.iterate_conv(rho, k) - dense).max() < 1e-9
-        psi = convolution.doubling_cumulants(grassmann.cumulants(rho), k)
-        back = grassmann.inverse_fourier(grassmann.g_exp(psi))
-        assert np.abs(dense - back).max() < 1e-9
+        out = convolution.iterate_conv(rho, k)
+        assert np.abs(out - dense).max() < 1e-9
+        back = grassmann.inverse_fourier(grassmann.g_exp(doubling_cumulants(psi, k)))
+        assert np.abs(out - back).max() < 1e-9
 
 
 def test_iterated_entropy_monotone(rng):

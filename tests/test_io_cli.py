@@ -94,20 +94,24 @@ def test_cli_test_state_prints_margin(tmp_path, capsys):
 
 
 def test_cli_sweeps_compute_columns(tmp_path, monkeypatch):
-    """fig2 runs its grid as one stack: 4 doublings, any grid; NG_inf makes no product and
-    builds no Gaussian state, only its covariance's spectrum."""
+    """fig2 runs its grid as one stack: 4 doublings, any grid; NG_inf makes no product, builds
+    no Gaussian state and takes no entropy of the pure input, only its covariance's spectrum."""
     from ferro import gaussian, grassmann
 
-    calls = []
+    calls, entropies = [], []
     g_mul = grassmann.g_mul
+    entropy = clifford.entropy
     monkeypatch.setattr(grassmann, "g_mul", lambda p, q: calls.append(1) or g_mul(p, q))
+    monkeypatch.setattr(clifford, "entropy", lambda *a: entropies.append(1) or entropy(*a))
     for name in ("wick_moments", "gaussification"):
         monkeypatch.setattr(gaussian, name, lambda *_, name=name: pytest.fail(f"calls {name}"))
     for grid in (3, 9):
         calls.clear()
+        entropies.clear()
         assert cli.main(["fig2", "--kmax", "4", "--grid", str(grid),
                          "--out", str(tmp_path / "f.csv")]) == 0
         assert len(calls) == 4
+        assert len(entropies) == 4
 
 
 def test_cli_fig2_memory(tmp_path):
@@ -156,18 +160,24 @@ def test_cli_clt_rows_bounded(tmp_path):
         assert float(dist) <= float(bound)
 
 
-def test_cli_clt_engines_agree(tmp_path):
+def test_cli_clt_engines_agree(tmp_path, capsys):
+    """clt has one path: --engine is accepted, checked and ignored."""
     f = tmp_path / "psi.txt"
     f.write_text(io.write_array(states.magic_state_vector(2.0)))
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    assert cli.main(["clt", str(f), "--kmax", "6", "--out", str(a)]) == 0
-    assert cli.main(["clt", str(f), "--kmax", "6", "--engine", "cumulant", "--out", str(b)]) == 0
-    ra = [r.split(",") for r in a.read_text().strip().splitlines()[1:]]
-    rb = [r.split(",") for r in b.read_text().strip().splitlines()[1:]]
-    assert len(ra) == len(rb) == 7
-    for x, y in zip(ra, rb):
-        assert abs(float(x[1]) - float(y[1])) < 1e-9
-        assert abs(float(x[2]) - float(y[2])) < 1e-12
+    texts = set()
+    for flag in ([], ["--engine", "dense"], ["--engine", "cumulant"]):
+        out = tmp_path / "c.csv"
+        assert cli.main(["clt", str(f), "--kmax", "6", *flag, "--out", str(out)]) == 0
+        texts.add(out.read_bytes())
+    assert len(texts) == 1
+    assert len(texts.pop().splitlines()) == 8
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["clt", str(f), "--engine", "other", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "invalid choice: 'other'" in capsys.readouterr().err
+    with pytest.raises(SystemExit):
+        cli.main(["clt", "--help"])
+    assert "--engine" not in capsys.readouterr().out
 
 
 def test_cli_decompose(tmp_path):
@@ -450,6 +460,8 @@ def test_clt_computes_cumulants_once(tmp_path, monkeypatch, engine):
 
     # grassmann.cumulants(rho) also goes through cumulants_from_moments
     monkeypatch.setattr(grassmann, "cumulants_from_moments", counted)
+    # the iterates come from the channel, never from the rescaled cumulants
+    monkeypatch.setattr(grassmann, "g_exp", lambda *_: pytest.fail("calls g_exp"))
     f = tmp_path / "psi.txt"
     f.write_text(io.write_array(states.magic_state_vector(2.0)))
     out = tmp_path / "c.csv"

@@ -49,7 +49,7 @@ def test_no_public_function_takes_a_check_switch():
 PAPER_API = {
     "clifford.moments", "gaussian.covariance", "gaussian.gaussification",
     "convolution.convolve", "convolution.complementary_convolve",
-    "convolution.convolve_cumulant", "convolution.iterate_conv", "convolution.iterate_conv_linear",
+    "convolution.iterate_conv", "convolution.iterate_conv_linear",
     "measures.moment_weights", "measures.ng_entropy", "measures.ng_entropy_mixed",
     "measures.ng_relative_entropy", "measures.clt_bound",
     "io.write_array", "circuits.parse_netlist",
@@ -59,7 +59,7 @@ PAPER_API = {
 BENCHMARK_PINNED = {
     "clifford.partial_trace_second", "convolution.conv_unitary",
     "gaussian.gaussian_from_covariance", "gaussian.gaussian_unitary",
-    "gaussian.pfaffian", "gaussian.quadratic_hamiltonian",
+    "gaussian.pfaffian", "gaussian.quadratic_hamiltonian", "grassmann.g_exp",
 }
 
 
