@@ -122,19 +122,19 @@ def test_quadratic_cumulants_preserved_in_self_convolution(rng):
     assert np.abs(out.coeffs[sel] - psi.coeffs[sel]).max() < 1e-10
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_iterate_conv(rng, n):
+def test_iterate_conv(rng):
     """The iterated channel, against the dense channel and the CLT's cumulant rescaling."""
-    rho = random_even_state(rng, n)
-    assert convolution.iterate_conv(rho, 0) is rho
-    psi = grassmann.cumulants(rho)
-    dense = rho
-    for k in range(1, 7):
-        dense = dense_convolve(dense, dense)
-        out = convolution.iterate_conv(rho, k)
-        assert np.abs(out - dense).max() < 1e-9
-        back = grassmann.inverse_fourier(grassmann.g_exp(doubling_cumulants(psi, k)))
-        assert np.abs(out - back).max() < 1e-9
+    for n in (1, 2, 3, 4):
+        rho = random_even_state(rng, n)
+        assert convolution.iterate_conv(rho, 0) is rho
+        psi = grassmann.cumulants(rho)
+        dense = rho
+        for k in range(1, 7):
+            dense = dense_convolve(dense, dense)
+            out = convolution.iterate_conv(rho, k)
+            assert np.abs(out - dense).max() < 1e-9
+            back = grassmann.inverse_fourier(grassmann.g_exp(doubling_cumulants(psi, k)))
+            assert np.abs(out - back).max() < 1e-9
 
 
 def test_iterated_entropy_monotone(rng):
