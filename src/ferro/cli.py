@@ -117,10 +117,16 @@ def _density(arr, kind: str):
         return arr
     import numpy as np
 
-    norm = np.linalg.norm(arr)
-    if norm == 0.0:
+    # scaled by its largest real or imaginary part first, so that the norm
+    # neither overflows nor underflows; the parts are scaled apart, because
+    # numpy's complex division by a subnormal overflows
+    parts = np.stack([arr.real, arr.imag])
+    scale = np.abs(parts).max()
+    if scale == 0.0:
         raise InputError("E_ZERO_VECTOR")
-    arr = arr / norm
+    re, im = parts / scale
+    arr = re + 1j * im
+    arr /= np.linalg.norm(arr)
     return np.outer(arr, arr.conj())
 
 

@@ -7,15 +7,16 @@ acts on each of them; the sweeps over a state family run as one stack.
 
 Products split both factors on the top generator, p = p0 + p1 eta_m, so that
 pq = p0 q0 + (p0 q1 + p1 q0') eta_m with q0' the grade involution of q0. The
-three half-products recurse depth first into one output, are stacked into
-numpy batches once they are small, and end in a table of disjoint mask pairs
-with their inversion-count signs over at most six generators.  The product
-is parity blocked: each factor carries two flags, whether its even and its
-odd part may be nonzero, set by an exact zero test of the whole stack on
-entry.  p0 keeps p's flags and p1 swaps them, and the base case reads only
-the (|I| mod 2, |J| mod 2) blocks of the pair table where both factors may
-be nonzero.  Moment, cumulant and covariance polynomials of even states are
-even, so their products read one block in four; dense input reads all four.
+three half-products recurse depth first into the output's halves and end in
+a table of disjoint mask pairs with their inversion-count signs over at most
+eight generators, which runs the rows of a stack in chunks.  The product is
+parity blocked at every level: each factor carries two flags, whether its
+even and its odd part may be nonzero, set by an exact zero test of the whole
+stack on entry.  p0 keeps p's flags and p1 swaps them, and the base case
+reads only the (|I| mod 2, |J| mod 2) blocks of the pair table where both
+factors may be nonzero.  Moment, cumulant and covariance polynomials of even
+states are even, so their products read one block in four; dense input
+reads all four.
 """
 
 from __future__ import annotations
@@ -58,11 +59,11 @@ class GrassmannPoly:
 
 
 # Sizes of the divide-and-conquer product. Polynomials over at most
-# _BASE_GENERATORS generators are multiplied from a table of disjoint pairs;
-# the three half-products of a level are stacked into one batch only while
-# they fit _SLAB complex entries, which keeps the base case's work in cache.
-_BASE_GENERATORS = 6
-_SLAB = 4096
+# _BASE_GENERATORS generators are multiplied from a table of disjoint pairs,
+# a chunk of rows at a time whose pair terms fit _TERMS complex entries; the
+# chunks keep the base case's work in cache and its scratch small.
+_BASE_GENERATORS = 8
+_TERMS = 1 << 13
 
 
 @lru_cache(maxsize=None)
@@ -136,39 +137,22 @@ def _mul_into(a: np.ndarray, b: np.ndarray, out: np.ndarray, inv: bool, s: float
         return
     rows, size = a.shape
     if size <= 1 << _BASE_GENERATORS:
-        if rows * size > _SLAB:
-            # more rows than a batch may hold (a tall stack): its halves, depth first
-            r = rows >> 1
-            _mul_into(a[:r], b[:r], out[:r], inv, s, fa, fb)
-            _mul_into(a[r:], b[r:], out[r:], inv, s, fa, fb)
-            return
         blocks = sum(1 << (x + 2 * y) for x in (0, 1) for y in (0, 1)
                      if fa >> x & 1 and fb >> y & 1)
         i, j, sign, sign_inv, ks, starts = _pair_table(size.bit_length() - 1, blocks)
-        terms = a[:, i]
-        terms *= b[:, j]
-        terms *= s * (sign_inv if inv else sign)
-        out[:, ks] += np.add.reduceat(terms, starts, axis=1)
+        sign = s * (sign_inv if inv else sign)
+        step = max(1, _TERMS // len(i))
+        for r in range(0, rows, step):
+            terms = a[r:r + step].take(i, axis=1)
+            terms *= b[r:r + step].take(j, axis=1)
+            terms *= sign
+            out[r:r + step, ks] += np.add.reduceat(terms, starts, axis=1)
         return
+    # depth first into the output's halves; the involution of b is b0' - b1' eta_k
     h = size >> 1
-    a0, a1, b0, b1 = a[:, :h], a[:, h:], b[:, :h], b[:, h:]
-    if 3 * rows * h > _SLAB:
-        # depth first into the output's halves; the involution of b is b0' - b1' eta_k
-        _mul_into(a0, b0, out[:, :h], inv, s, fa, fb)
-        _mul_into(a0, b1, out[:, h:], inv, -s if inv else s, fa, _swap(fb))
-        _mul_into(a1, b0, out[:, h:], not inv, s, _swap(fa), fb)
-        return
-    g = _grade_sign(size.bit_length() - 2)
-    if inv:
-        right = np.concatenate([b0 * g, -(b1 * g), b0])
-    else:
-        right = np.concatenate([b0, b1, b0 * g])
-    half = np.zeros((3 * rows, h), dtype=complex)
-    # a batch holds both halves of each factor, so it carries both halves' flags
-    _mul_into(np.concatenate([a0, a0, a1]), right, half, False, 1.0,
-              fa | _swap(fa), fb | _swap(fb))
-    out[:, :h] += s * half[:rows]
-    out[:, h:] += s * (half[rows:2 * rows] + half[2 * rows:])
+    _mul_into(a[:, :h], b[:, :h], out[:, :h], inv, s, fa, fb)
+    _mul_into(a[:, :h], b[:, h:], out[:, h:], inv, -s if inv else s, fa, _swap(fb))
+    _mul_into(a[:, h:], b[:, :h], out[:, h:], not inv, s, _swap(fa), fb)
 
 
 def g_mul(p: GrassmannPoly, q: GrassmannPoly) -> GrassmannPoly:

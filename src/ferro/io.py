@@ -1,9 +1,10 @@
 """Text formats: state/unitary files and deterministic CSV emission.
 
-State files are line-oriented: a header `dim <2^q>` followed by one complex
-entry per line as `re im`.  A file with dim^2 entry lines holds a matrix in
-row-major order; a file with dim entry lines holds a state vector.  A
-malformed file raises InputError with the fault's code and the line at fault.
+State files are line-oriented: a header `dim <2^q>`, q >= 1 (at least one
+mode), followed by one complex entry per line as `re im`.  A file with dim^2
+entry lines holds a matrix in row-major order; a file with dim entry lines
+holds a state vector.  A malformed file raises InputError with the fault's
+code and the line at fault.
 """
 
 from __future__ import annotations
@@ -27,6 +28,8 @@ def parse_array(text: str):
         dim = int(head[1])
     except ValueError:
         raise InputError("E_BAD_HEADER", lines[0]) from None
+    if dim == 1:  # 2^0: no mode to hold a state
+        raise InputError("E_BAD_HEADER", lines[0])
     if dim <= 0 or dim & (dim - 1):
         raise InputError("E_DIM_NOT_POWER_OF_TWO", str(dim))
     entries = []

@@ -187,8 +187,8 @@ def sparse_poly(rng, gens, terms, parity):
     return GrassmannPoly(gens, coeffs)
 
 
-# 8-10 generators start in the batched regime, 12 and more recurse depth first
-# above it; every size ends in the pair-table base case
+# 8 generators are the pair-table base case itself, 10 and more recurse depth
+# first into it
 @settings(max_examples=15, deadline=None)
 @given(
     gens=st.sampled_from([8, 10, 12, 14, 16]),
@@ -337,7 +337,7 @@ def test_g_mul_parity_blocks_match_oracle(gens, parities):
 
 @pytest.mark.parametrize("parities", PARITY_PAIRS[:4], ids=parity_id)
 def test_g_mul_parity_blocks_in_a_tall_stack(parities):
-    """A stack tall enough to split its rows at the base case, against the oracle row by row."""
+    """A stack tall enough to run in row chunks at the base case, against the oracle row by row."""
     rng = np.random.default_rng(PARITY_PAIRS.index(parities))
     rows, gens = 70, 8
     p, q = (GrassmannPoly(gens, np.stack([sparse_poly(rng, gens, 12, parity).coeffs
@@ -371,6 +371,19 @@ def test_g_mul_keeps_a_tiny_odd_part(rng, rows):
     grassmann._mul_into(p, q.coeffs, dense, False, 1.0, 0b11, 0b11)
     assert np.abs(got - dense[-1]).max() <= 1e-12 * np.abs(dense).max()
     assert np.abs(got[odd] - dense[-1][odd]).max() <= 1e-12 * np.abs(want_odd).max()
+
+
+@pytest.mark.parametrize("gens,rows", [(8, 1), (12, 1), (8, 21)])
+def test_even_products_read_one_parity_block(rng, monkeypatch, gens, rows):
+    """Every pair table an even x even product looks up holds a single parity block."""
+    p, q = (GrassmannPoly(gens, np.stack([parity_poly(rng, gens, 0).coeffs] * rows))
+            for _ in range(2))
+    grassmann.g_mul(p, q)  # warm-up: a block table's first build looks up the full table
+    table, blocks = grassmann._pair_table, []
+    monkeypatch.setattr(grassmann, "_pair_table",
+                        lambda nbits, b=0b1111: blocks.append(b) or table(nbits, b))
+    grassmann.g_mul(p, q)
+    assert blocks and all(b in (0b0001, 0b0010, 0b0100, 0b1000) for b in blocks)
 
 
 def test_stacked_polynomials_match_rows(rng):

@@ -28,8 +28,11 @@ def test_parse_vector_and_matrix(tmp_path):
     [
         ("", "E_EMPTY_FILE"),
         ("size 4\n1 0\n", "E_BAD_HEADER"),
+        ("dim x\n1 0\n", "E_BAD_HEADER"),
+        ("dim 1\n1 0\n", "E_BAD_HEADER"),
         ("dim 3\n1 0\n1 0\n1 0\n", "E_DIM_NOT_POWER_OF_TWO"),
         ("dim 2\n1 0\nfoo 0\n", "E_BAD_ENTRY"),
+        ("dim 2\n1 0 0\n0 0\n", "E_BAD_ENTRY"),
         ("dim 2\n1 0\n0 0\n0 0\n", "E_ENTRY_COUNT"),
         ("dim 2\n1 0\nnan 0\n", "E_NONFINITE"),
     ],
@@ -214,8 +217,24 @@ def test_cli_rejects_non_finite(tmp_path, capsys):
     _rejects(tmp_path, capsys, ["test-unitary"], io.write_array(u), "E_NONFINITE")
 
 
-@pytest.mark.parametrize("dim", [2, 4, 16])
+# nonzero vectors whose norm overflows or underflows, with test-state's verdict
+FLOAT_LIMIT_VECTORS = {
+    "overflow": ("dim 2\n1e308 0\n1e308 0\n", "non-gaussian", "not-even"),
+    "underflow": ("dim 2\n1e-320 0\n0 0\n", "gaussian", ""),
+}
+
+
+@pytest.mark.parametrize("dim", [2, 4, 16, *FLOAT_LIMIT_VECTORS])
 def test_cli_rejects_zero_vector(tmp_path, capsys, dim):
+    """Only an all-zero vector is E_ZERO_VECTOR; one at the float limits is normalised."""
+    if dim in FLOAT_LIMIT_VECTORS:
+        text, verdict, reason = FLOAT_LIMIT_VECTORS[dim]
+        f = tmp_path / "in.txt"
+        f.write_text(text)
+        assert cli.main(["test-state", str(f)]) == 0
+        out = capsys.readouterr().out
+        assert f"verdict: {verdict}\n" in out and f",reason={reason}," in out
+        return
     text = io.write_array(np.zeros(dim, dtype=complex))
     _rejects(tmp_path, capsys, ["test-state"], text, "E_ZERO_VECTOR")
     _rejects(tmp_path, capsys, ["clt", "--out", str(tmp_path / "c.csv")], text, "E_ZERO_VECTOR")
@@ -265,10 +284,13 @@ def test_clt_checks_the_state_before_its_parity(tmp_path, capsys):
     t = 1e-6
     not_hermitian = np.array([[math.cos(t), 1j * math.sin(t)], [1j * math.sin(t), math.cos(t)]])
     negative = np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex)
+    trace_off = np.diag([0.6, 0.6, 0.0, 0.0]).astype(complex)
     clt = ["clt", "--out", str(tmp_path / "c.csv")]
-    for rho in (not_hermitian, negative):
+    for rho in (not_hermitian, negative, trace_off):
         for argv in (["test-state"], clt):
             _rejects(tmp_path, capsys, argv, io.write_array(rho), "E_NOT_A_STATE")
+    # a zero-mode file is no state either; it is refused as it is read
+    _rejects(tmp_path, capsys, clt, "dim 1\n1 0\n", "E_BAD_HEADER: dim 1\n")
     gap = np.array([1.0, 1e-5, 0.0, 0.0], dtype=complex)
     _rejects(tmp_path, capsys, clt, io.write_array(gap), "E_NOT_EVEN_STATE")
 
