@@ -2,7 +2,8 @@
 
 The submodules load on first access (PEP 562), so `import ferro` costs
 nothing beyond this file and a command imports only the modules it runs:
-`ferro.circuits` is pure Python, every other module loads numpy.
+`ferro.circuits` is pure Python, `ferro.io` loads numpy once a file has
+parsed, and every other module loads numpy.
 """
 
 import importlib

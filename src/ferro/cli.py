@@ -3,11 +3,12 @@
 Exit codes: 0 success, 2 bad input: one line `error E_...` on stderr,
 from the ferro.InputError of the check that failed, or E_IO for an output
 that cannot be written.  The CLI checks only its arguments and the input
-file's readability, size and kind; the library checks the rest.
+file's readability and kind, and sets the size cap that io.parse_array
+checks on the file's header; the library checks the rest.
 
 Each command checks its arguments first and then imports only the ferro
-modules it runs, so `decompose` and every argument error finish without
-loading numpy.
+modules it runs, so `decompose`, every argument error and every malformed
+input file finish without loading numpy.
 """
 
 from __future__ import annotations
@@ -94,7 +95,8 @@ def cmd_renyi(args) -> int:
     return 0
 
 
-def _load(path: str):
+def _load(path: str, max_modes: int):
+    """The file's array and kind; E_TOO_LARGE over max_modes modes, before its entries are parsed."""
     from . import io
 
     try:
@@ -102,13 +104,7 @@ def _load(path: str):
             text = f.read()
     except OSError as e:
         raise InputError("E_FILE", str(e)) from None
-    return io.parse_array(text)
-
-
-def _check_modes(arr, max_modes: int) -> None:
-    """E_TOO_LARGE for inputs over max_modes modes, before any 4^n work."""
-    if arr.shape[0] > 1 << max_modes:
-        raise InputError("E_TOO_LARGE", f"dimension {arr.shape[0]} exceeds {1 << max_modes}")
+    return io.parse_array(text, max_modes)
 
 
 def _density(arr, kind: str):
@@ -138,8 +134,7 @@ def _field(x) -> str:
 
 
 def cmd_test_state(args) -> int:
-    arr, kind = _load(args.statefile)
-    _check_modes(arr, MAX_STATE_MODES)
+    arr, kind = _load(args.statefile, MAX_STATE_MODES)
     from . import testing
 
     res = testing.gaussian_state_test(_density(arr, kind))
@@ -154,10 +149,10 @@ def cmd_test_state(args) -> int:
 
 
 def cmd_test_unitary(args) -> int:
-    arr, kind = _load(args.unitaryfile)
+    arr, kind = _load(args.unitaryfile,
+                      MAX_DENSE_UNITARY_MODES if args.engine == "dense" else MAX_UNITARY_MODES)
     if kind != "matrix":
         raise InputError("E_EXPECTED_MATRIX", args.unitaryfile)
-    _check_modes(arr, MAX_DENSE_UNITARY_MODES if args.engine == "dense" else MAX_UNITARY_MODES)
     from . import testing
 
     res = testing.gaussian_unitary_test(arr, engine=args.engine)
@@ -172,8 +167,7 @@ def cmd_test_unitary(args) -> int:
 
 def cmd_clt(args) -> int:
     kmax = _check_kmax(args.kmax, 0, 6)
-    arr, kind = _load(args.statefile)
-    _check_modes(arr, MAX_STATE_MODES)
+    arr, kind = _load(args.statefile, MAX_STATE_MODES)
     rho = _density(arr, kind)
     from . import convolution, gaussian, grassmann, io, measures
 

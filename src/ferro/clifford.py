@@ -243,9 +243,12 @@ def entropy(rho: np.ndarray, alpha: float = 1.0):
         return _von_neumann(w)
     if alpha == 0.0:
         return per_state(np.log(np.count_nonzero(w > EPS_RANK, axis=-1)))
+    # w^alpha may underflow, (w / w_max)^alpha may not; + 0.0 turns -0 into 0
+    top = w.max(axis=-1)
     if math.isinf(alpha):
-        return per_state(-np.log(w.max(axis=-1)))
-    return per_state(np.log(np.sum(w**alpha, axis=-1)) / (1.0 - alpha))
+        return per_state(-np.log(top) + 0.0)
+    tail = np.log(np.sum((w / top[..., None]) ** alpha, axis=-1))
+    return per_state((alpha * np.log(top) + tail) / (1.0 - alpha) + 0.0)
 
 
 def is_even(a: np.ndarray):

@@ -8,8 +8,10 @@ acts on each of them; the sweeps over a state family run as one stack.
 Products split both factors on the top generator, p = p0 + p1 eta_m, so that
 pq = p0 q0 + (p0 q1 + p1 q0') eta_m with q0' the grade involution of q0. The
 three half-products recurse depth first into the output's halves and end in
-a table of disjoint mask pairs with their inversion-count signs over at most
-eight generators, which runs the rows of a stack in chunks.  The product is
+a table of disjoint mask pairs with their signs over at most eight
+generators, which runs the rows of a stack in chunks.  The table is built by
+the same split: each pair (I, J) below the top generator t gives (I, J),
+(I + t, J) with sign (-1)^|J| and (I, J + t).  The product is
 parity blocked at every level: each factor carries two flags, whether its
 even and its odd part may be nonzero, set by an exact zero test of the whole
 stack on entry.  p0 keeps p's flags and p1 swaps them, and the base case
@@ -22,7 +24,6 @@ reads all four.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -35,19 +36,18 @@ from .clifford import popcounts
 EPS_UNIT = 2 * clifford.EPS_TRACE
 
 
-@dataclass(frozen=True)
 class GrassmannPoly:
     """Dense coefficient array over 2n Grassmann generators, or a stack (..., 4^n) of them."""
 
-    generators: int
-    coeffs: np.ndarray
+    __slots__ = ("generators", "coeffs")
 
-    def __post_init__(self):
-        if self.generators % 2:
+    def __init__(self, generators: int, coeffs: np.ndarray):
+        if generators % 2:
             raise ValueError("generator count must be even (2n)")
-        if self.coeffs.shape[-1:] != (1 << self.generators,):
-            raise ValueError(f"coefficient array has shape {self.coeffs.shape}, "
-                             f"expected (..., {1 << self.generators})")
+        if coeffs.shape[-1:] != (1 << generators,):
+            raise ValueError(f"coefficient array has shape {coeffs.shape}, "
+                             f"expected (..., {1 << generators})")
+        self.generators, self.coeffs = generators, coeffs
 
     def __sub__(self, other: "GrassmannPoly") -> "GrassmannPoly":
         self._check(other)
@@ -75,33 +75,27 @@ def _grade_sign(nbits: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _pair_table(nbits: int, blocks: int = 0b1111):
-    """Disjoint mask pairs (I, J) sorted by K = I|J, with eta_I eta_J = sign * eta_K.
+def _pair_table(nbits: int, blocks: int):
+    """Disjoint mask pairs (I, J) sorted by K = I|J, then I, with eta_I eta_J = sign * eta_K.
 
-    Only pairs whose parity block (|I| mod 2, |J| mod 2) = (x, y) has bit
-    x + 2y set in `blocks` are kept, in the order of the full table.  Returns
-    I, J, the sign, the sign times (-1)^|J|, the index of the K of each group
-    (a full slice when every K occurs) and the start of each group.
+    Built by the product's split on each top generator t in turn (see the
+    module docstring), then filtered: only pairs whose parity block
+    (|I| mod 2, |J| mod 2) = (x, y) has bit x + 2y set in `blocks` are kept.
+    Returns I, J, the sign, the sign times (-1)^|J|, the index of the K of
+    each group (a full slice when every K occurs) and the start of each group.
     """
+    grade = _grade_sign(nbits)
+    i = j = np.zeros(1, dtype=np.int64)
+    sign = np.ones(1)
+    for t in (1 << bit for bit in range(nbits)):
+        sign = np.concatenate([sign, sign * grade[j], sign])
+        i, j = np.concatenate([i, i | t, i]), np.concatenate([j, j, j | t])
     par = popcounts(nbits) & 1
-    if blocks == 0b1111:
-        masks = np.arange(1 << nbits, dtype=np.int64)
-        i, j = (m.ravel() for m in np.meshgrid(masks, masks, indexing="ij"))
-        keep = (i & j) == 0
-        order = np.argsort((i | j)[keep], kind="stable")
-        i, j = i[keep][order], j[keep][order]
-        # the sign counts the pairs (x in I, y in J) with x > y
-        sign = np.ones(len(i))
-        for bit in range(nbits):
-            has = (i >> bit) & 1 == 1
-            sign[has] *= 1.0 - 2.0 * par[j[has] & ((1 << bit) - 1)]
-        sign_inv = sign * _grade_sign(nbits)[j]
-    else:
-        i, j, sign, sign_inv, _, _ = _pair_table(nbits)
-        keep = (blocks >> (par[i] + 2 * par[j])) & 1 == 1
-        i, j, sign, sign_inv = i[keep], j[keep], sign[keep], sign_inv[keep]
+    keep = (blocks >> (par[i] + 2 * par[j])) & 1 == 1
+    order = np.lexsort((i[keep], (i | j)[keep]))
+    i, j, sign = i[keep][order], j[keep][order], sign[keep][order]
     ks, starts = np.unique(i | j, return_index=True)
-    table = (i, j, sign, sign_inv, ks, starts)
+    table = (i, j, sign, sign * grade[j], ks, starts)
     for arr in table:
         arr.setflags(write=False)
     if len(ks) == 1 << nbits:

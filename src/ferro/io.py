@@ -4,20 +4,21 @@ State files are line-oriented: a header `dim <2^q>`, q >= 1 (at least one
 mode), followed by one complex entry per line as `re im`.  A file with dim^2
 entry lines holds a matrix in row-major order; a file with dim entry lines
 holds a state vector.  A malformed file raises InputError with the fault's
-code and the line at fault.
+code and the line at fault, before numpy is loaded.
 """
 
 from __future__ import annotations
 
 import cmath
 
-import numpy as np
-
 from . import InputError
 
 
-def parse_array(text: str):
-    """Parse a state file; returns (array, kind) with kind 'vector' or 'matrix'."""
+def parse_array(text: str, max_modes: int | None = None):
+    """Parse a state file; returns (array, kind) with kind 'vector' or 'matrix'.
+
+    A header over max_modes modes gives E_TOO_LARGE before any entry is parsed.
+    """
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise InputError("E_EMPTY_FILE")
@@ -32,6 +33,8 @@ def parse_array(text: str):
         raise InputError("E_BAD_HEADER", lines[0])
     if dim <= 0 or dim & (dim - 1):
         raise InputError("E_DIM_NOT_POWER_OF_TWO", str(dim))
+    if max_modes is not None and dim > 1 << max_modes:
+        raise InputError("E_TOO_LARGE", f"dimension {dim} exceeds {1 << max_modes}")
     entries = []
     for ln in lines[1:]:
         parts = ln.split()
@@ -44,14 +47,16 @@ def parse_array(text: str):
         if not cmath.isfinite(z):
             raise InputError("E_NONFINITE", ln)
         entries.append(z)
+    if len(entries) not in (dim, dim * dim):
+        raise InputError("E_ENTRY_COUNT", f"got {len(entries)}, expected {dim} or {dim * dim}")
+    import numpy as np
+
     if len(entries) == dim:
         return np.array(entries), "vector"
-    if len(entries) == dim * dim:
-        return np.array(entries).reshape(dim, dim), "matrix"
-    raise InputError("E_ENTRY_COUNT", f"got {len(entries)}, expected {dim} or {dim * dim}")
+    return np.array(entries).reshape(dim, dim), "matrix"
 
 
-def write_array(a: np.ndarray) -> str:
+def write_array(a) -> str:
     if a.ndim == 1:
         dim = a.shape[0]
         flat = a

@@ -8,17 +8,16 @@ state's covariance instead, computed from U without building the Choi state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
-from . import clifford, convolution, grassmann, measures
+from . import clifford
 
 EPS_TEST = 1e-7
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(namedtuple("Verdict", "is_gaussian reason margin p_accept", defaults=(None,))):
     """Outcome of a Gaussianity test.
 
     reason: "" when Gaussian, "not-even" when the parity check decides, else
@@ -29,10 +28,7 @@ class Verdict:
     probability.  Both are None when the parity check decides.
     """
 
-    is_gaussian: bool
-    reason: str
-    margin: float | None
-    p_accept: float | None = None
+    __slots__ = ()
 
 
 def gaussian_state_test(psi: np.ndarray) -> Verdict:
@@ -43,6 +39,9 @@ def gaussian_state_test(psi: np.ndarray) -> Verdict:
     equals 1 iff psi is fermionic Gaussian.  The overlap is read in the
     moment domain, by Parseval: Tr psi c = 2^-n Re sum_J conj(psi_J) c_J.
     """
+    # the one test that runs the polynomial engine loads it
+    from . import convolution, grassmann, measures
+
     clifford.assert_state(psi)
     measures.assert_pure(psi)
     if not clifford.is_even(psi):

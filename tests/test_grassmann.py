@@ -14,6 +14,7 @@ from helpers import (
     g_monomial,
     g_one,
     g_zero,
+    pair_table_reference,
     random_even_state,
     random_gaussian_unitary,
     random_state,
@@ -373,15 +374,27 @@ def test_g_mul_keeps_a_tiny_odd_part(rng, rows):
     assert np.abs(got[odd] - dense[-1][odd]).max() <= 1e-12 * np.abs(want_odd).max()
 
 
+@pytest.mark.parametrize("nbits", range(1, 9))
+def test_pair_table_matches_the_grid_of_all_pairs(nbits):
+    """The table built by the product's doubling equals the grid's, in its order, per block set."""
+    for blocks in range(1, 16):
+        i, j, sign, sign_inv, ks, starts = grassmann._pair_table(nbits, blocks)
+        want = pair_table_reference(nbits, blocks)
+        if isinstance(ks, slice):
+            assert np.array_equal(want[4], np.arange(1 << nbits))
+            ks = want[4]
+        for got, ref in zip((i, j, sign, sign_inv, ks, starts), want):
+            assert got.dtype == ref.dtype and np.array_equal(got, ref), (nbits, blocks)
+
+
 @pytest.mark.parametrize("gens,rows", [(8, 1), (12, 1), (8, 21)])
 def test_even_products_read_one_parity_block(rng, monkeypatch, gens, rows):
     """Every pair table an even x even product looks up holds a single parity block."""
     p, q = (GrassmannPoly(gens, np.stack([parity_poly(rng, gens, 0).coeffs] * rows))
             for _ in range(2))
-    grassmann.g_mul(p, q)  # warm-up: a block table's first build looks up the full table
     table, blocks = grassmann._pair_table, []
     monkeypatch.setattr(grassmann, "_pair_table",
-                        lambda nbits, b=0b1111: blocks.append(b) or table(nbits, b))
+                        lambda nbits, b: blocks.append(b) or table(nbits, b))
     grassmann.g_mul(p, q)
     assert blocks and all(b in (0b0001, 0b0010, 0b0100, 0b1000) for b in blocks)
 

@@ -374,8 +374,11 @@ def _fresh_python(code: str) -> str:
 
 
 def test_decompose_and_argument_errors_skip_numpy(tmp_path):
-    """`decompose` and each argument error finish before numpy is imported."""
+    """`decompose`, each argument error and each malformed file finish before numpy is imported."""
     out = str(tmp_path / "x")
+    bad = {"nan": "dim 2\n1 0\nnan 0\n", "entry": "dim 2\n1 0\nfoo 0\n", "large": "dim 128\n1 0\n"}
+    for name, text in bad.items():
+        (tmp_path / name).write_text(text)
     runs = [
         ["decompose", "--modes", "2", "--out", out],
         ["decompose", "--modes", "65"],
@@ -384,11 +387,12 @@ def test_decompose_and_argument_errors_skip_numpy(tmp_path):
         ["renyi", "--alpha", "nan", "--out", out],
         ["weights", "--grid", "1", "--out", out],
         ["clt", "missing.txt", "--kmax", "7", "--out", out],
+        *(["test-state", str(tmp_path / name)] for name in bad),
     ]
     code = ("import sys, ferro, ferro.cli as cli\n"
             f"print([cli.main(argv) for argv in {runs!r}], 'numpy' in sys.modules,"
             " 'dataclasses' in sys.modules)")
-    assert _fresh_python(code) == "[0, 2, 2, 2, 2, 2, 2] False False"
+    assert _fresh_python(code) == "[0, 2, 2, 2, 2, 2, 2, 2, 2, 2] False False"
 
 
 def test_package_loads_submodules_on_access():
@@ -400,6 +404,39 @@ def test_package_loads_submodules_on_access():
             "from ferro import circuits\n"
             "print(loaded, listed, all(ok), hasattr(ferro, 'nonexistent'))")
     assert _fresh_python(code) == "[] True True False"
+
+
+# The ferro modules each command loads, as README's "Start-up" lists them.
+_ENGINE = {"clifford", "convolution", "gaussian", "grassmann", "measures"}
+COMMAND_MODULES = {
+    "fig2 --kmax 1 --grid 3 --out {out}": {"cli", "io", "states"} | _ENGINE,
+    "weights --grid 3 --out {out}": {"cli", "io", "states"} | _ENGINE,
+    "renyi --kmax 1 --grid 3 --out {out}": {"cli", "io", "states"} | _ENGINE,
+    "test-state {psi}": {"cli", "io", "testing"} | _ENGINE,
+    "test-unitary {u}": {"cli", "clifford", "io", "testing"},
+    "test-unitary {u} --engine dense": {"cli", "io", "testing"} | _ENGINE,
+    "clt {psi} --kmax 1 --out {out}": {"cli", "io"} | _ENGINE,
+    "decompose --modes 2 --out {out}": {"cli", "circuits"},
+    "test-state {bad}": {"cli", "io"},
+}
+
+
+@pytest.mark.parametrize("command", COMMAND_MODULES)
+def test_commands_load_the_modules_readme_lists(tmp_path, command):
+    """Each command, run in a fresh interpreter, loads the ferro modules of its row and no dataclasses."""
+    files = {"psi": io.write_array(states.magic_state_vector(2.0)),
+             "u": io.write_array(np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)),
+             "bad": "dim 2\n1 0\nfoo 0\n"}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    argv = command.format(out=tmp_path / "out", **{n: tmp_path / n for n in files}).split()
+    code = ("import contextlib, io, sys, ferro.cli as cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+            f"    status = cli.main({argv!r})\n"
+            "loaded = sorted(m[6:] for m in sys.modules if m.startswith('ferro.'))\n"
+            "print(status, ' '.join(loaded), 'dataclasses' in sys.modules)")
+    status = 2 if "{bad}" in command else 0
+    assert _fresh_python(code) == f"{status} {' '.join(sorted(COMMAND_MODULES[command]))} False"
 
 
 @pytest.mark.parametrize("command,modes", [
@@ -421,6 +458,8 @@ def test_cli_rejects_too_large(tmp_path, capsys, command, modes):
     assert cli.main([command, str(f), *argv[1:]]) == 0
     capsys.readouterr()
     _rejects(tmp_path, capsys, argv, text(modes + 1), "E_TOO_LARGE")
+    # the header alone decides, before the entry lines are parsed or counted
+    _rejects(tmp_path, capsys, argv, f"dim {2 << modes}\n1 0\n", "E_TOO_LARGE")
 
 
 def test_cli_runs_without_dense_beam_splitter(tmp_path, monkeypatch):
