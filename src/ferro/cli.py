@@ -50,12 +50,12 @@ def _phi_grid(points: int):
 def cmd_fig2(args) -> int:
     kmax = _check_kmax(args.kmax, 1, 4)
     grid = _phi_grid(args.grid)
-    from . import grassmann, io, measures, states
+    from . import clifford, grassmann, io, measures, states
 
     psi = states.magic_state(grid)
     # one moment table feeds NG_inf and the doubling iterates
     xi = grassmann.even_fourier(psi)
-    measures.assert_pure(psi)
+    clifford.assert_pure(psi)
     # NG_inf = S(G(psi)) - S(psi), and S(psi) = 0 for the certified pure states
     ng_inf = measures._gaussified_entropy(xi)
     del psi  # the doubling loop needs only the table; the states would add a stack to its peak

@@ -3,14 +3,16 @@
 Operators are plain complex numpy matrices of dimension 2**q.  Majorana
 generators and their ordered products are phased Pauli strings
 phase * X^x Z^z, kept as three arrays indexed by the product's mask and
-materialized as matrices only on demand.  The moment transform and its
-inverse are one gather or scatter plus one 2^n x 2^n matmul with the
-Sylvester-Hadamard matrix: O(8^n) numpy work and no loop over masks.
+materialized as matrices only on demand; on a vector, gamma_j is one signed
+bit flip (_majorana_flip).  The moment transform and its inverse are one
+gather or scatter plus one 2^n x 2^n matmul with the Sylvester-Hadamard
+matrix: O(8^n) numpy work and no loop over masks.
 
-The functions a sweep runs (assert_state, is_even, moments, from_moments,
-entropy) also take a stack (..., d, d) of states and act on each; a check
-on a stack fails if any of its states fails it.  The checks of outside
-input raise InputError; a wrong shape is the caller's error, a ValueError.
+The functions a sweep runs (assert_state, assert_pure, is_even, moments,
+from_moments, entropy) also take a stack (..., d, d) of states and act on
+each; a check on a stack fails if any of its states fails it.  The checks
+of outside input raise InputError; a wrong shape is the caller's error, a
+ValueError.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from . import InputError
 EPS_TRACE = 1e-8
 EPS_HERMITIAN = 1e-8
 EPS_PSD = 1e-9
+EPS_PURE = 1e-8
 EPS_EVEN = 1e-9
 EPS_UNITARY = 1e-9
 EPS_RANK = 1e-10
@@ -66,6 +69,13 @@ def assert_state(rho: np.ndarray) -> None:
         raise InputError("E_NOT_A_STATE", "state trace differs from 1")
     if np.linalg.eigvalsh(rho).min() < -EPS_PSD:
         raise InputError("E_NOT_A_STATE", "state has a negative eigenvalue beyond tolerance")
+
+
+def assert_pure(psi: np.ndarray) -> None:
+    """Check Tr psi^2 = 1 within EPS_PURE for a state or every state of a stack; E_NOT_PURE."""
+    purity = np.real(np.trace(psi @ psi, axis1=-2, axis2=-1))
+    if np.any(np.abs(purity - 1.0) > EPS_PURE):
+        raise InputError("E_NOT_PURE", "input is not pure within tolerance")
 
 
 def assert_even_state(rho: np.ndarray) -> None:
@@ -156,19 +166,25 @@ def _moment_transform(n: int):
     return had, sign
 
 
-def _pauli_matrix(phase: complex, x: int, z: int, n: int) -> np.ndarray:
-    d = 1 << n
-    idx = np.arange(d)
-    signs = 1.0 - 2.0 * (popcounts(n)[idx & z] & 1)
-    m = np.zeros((d, d), dtype=complex)
-    m[idx ^ x, idx] = phase * signs
-    return m
+@lru_cache(maxsize=None)
+def _majorana_flip(j: int, n: int):
+    """gamma_j as a signed bit flip, (gamma_j v)[k] = sign[k] * v[src[k]]; cached read-only.
+
+    With gamma_j = phase * X^x Z^z: src = k ^ x, sign = phase * (-1)^{src.z}.
+    """
+    phase, x, z = _majorana_pauli(j, n)
+    src = np.arange(1 << n) ^ x
+    sign = phase * (1.0 - 2.0 * (popcounts(n)[src & z] & 1))
+    for a in (src, sign):
+        a.setflags(write=False)
+    return src, sign
 
 
 @lru_cache(maxsize=None)
 def majorana(j: int, n: int) -> np.ndarray:
     """Jordan-Wigner matrix of the j-th Majorana generator on n qubits, cached read-only."""
-    m = _pauli_matrix(*_majorana_pauli(j, n), n)
+    src, sign = _majorana_flip(j, n)
+    m = np.diag(sign)[:, src]  # m[k, src[k]] = sign[k], as src is its own inverse
     m.setflags(write=False)
     return m
 

@@ -10,33 +10,40 @@ code and the line at fault, before numpy is loaded.
 from __future__ import annotations
 
 import cmath
+import re
 
 from . import InputError
+
+# the first non-blank line, up to the next of str.splitlines' line boundaries
+_FIRST_LINE = re.compile(r"\S[^\n\r\v\f\x1c-\x1e\x85\u2028\u2029]*")
 
 
 def parse_array(text: str, max_modes: int | None = None):
     """Parse a state file; returns (array, kind) with kind 'vector' or 'matrix'.
 
-    A header over max_modes modes gives E_TOO_LARGE before any entry is parsed.
+    A header over max_modes modes gives E_TOO_LARGE before the rest of the
+    text is split into lines.
     """
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines:
+    first = _FIRST_LINE.search(text)
+    if first is None:
         raise InputError("E_EMPTY_FILE")
-    head = lines[0].split()
+    header = first.group().rstrip()
+    head = header.split()
     if len(head) != 2 or head[0] != "dim":
-        raise InputError("E_BAD_HEADER", lines[0])
+        raise InputError("E_BAD_HEADER", header)
     try:
         dim = int(head[1])
     except ValueError:
-        raise InputError("E_BAD_HEADER", lines[0]) from None
+        raise InputError("E_BAD_HEADER", header) from None
     if dim == 1:  # 2^0: no mode to hold a state
-        raise InputError("E_BAD_HEADER", lines[0])
+        raise InputError("E_BAD_HEADER", header)
     if dim <= 0 or dim & (dim - 1):
         raise InputError("E_DIM_NOT_POWER_OF_TWO", str(dim))
     if max_modes is not None and dim > 1 << max_modes:
         raise InputError("E_TOO_LARGE", f"dimension {dim} exceeds {1 << max_modes}")
+    lines = [ln.strip() for ln in text[first.end():].splitlines() if ln.strip()]
     entries = []
-    for ln in lines[1:]:
+    for ln in lines:
         parts = ln.split()
         if len(parts) != 2:
             raise InputError("E_BAD_ENTRY", ln)

@@ -1,8 +1,8 @@
 """Scalar non-Gaussianity quantities: weights, entropic measures, CLT bounds.
 
-assert_pure, ng_entropies, ng_relative_entropy, cumulant_weights and
-polynomial_weights also take a stack of states (or of cumulant polynomials)
-and give one value per state where they give a float for one state.
+ng_entropies, ng_relative_entropy, cumulant_weights and polynomial_weights
+also take a stack of states (or of cumulant polynomials) and give one value
+per state where they give a float for one state.
 _ng_entropies and _gaussified_entropy take a validated moment table, so
 fig2 reads its stack's table once for both.
 """
@@ -13,9 +13,7 @@ import math
 
 import numpy as np
 
-from . import InputError, clifford, convolution, gaussian, grassmann
-
-EPS_PURE = 1e-8
+from . import clifford, convolution, gaussian, grassmann
 
 
 def moment_weights(rho: np.ndarray):
@@ -71,13 +69,6 @@ def _gaussified_entropy(xi: grassmann.GrassmannPoly):
     return np.maximum(clifford._von_neumann(np.clip((1.0 + lam) / 2, 0.0, 1.0)), 0.0)
 
 
-def assert_pure(psi: np.ndarray) -> None:
-    """Check Tr psi^2 = 1 within EPS_PURE for a state or every state of a stack; E_NOT_PURE."""
-    purity = np.real(np.trace(psi @ psi, axis1=-2, axis2=-1))
-    if np.any(np.abs(purity - 1.0) > EPS_PURE):
-        raise InputError("E_NOT_PURE", "input is not pure within tolerance")
-
-
 def ng_entropies(psi: np.ndarray, kmax: int, alpha: float = 1.0) -> list:
     """Non-Gaussian entropies S_alpha(boxtimes^k psi) for k = 1..kmax of a pure even state.
 
@@ -88,7 +79,7 @@ def ng_entropies(psi: np.ndarray, kmax: int, alpha: float = 1.0) -> list:
     if kmax < 1:
         raise ValueError("order k must be >= 1")
     xi = grassmann.even_fourier(psi)
-    assert_pure(psi)
+    clifford.assert_pure(psi)
     return _ng_entropies(xi, kmax, alpha)
 
 

@@ -1,9 +1,11 @@
 """Protocol layer: Gaussianity checks for states and unitaries.
 
-Swap tests are evaluated analytically (p = (1 + Tr rho sigma)/2); finite-shot
-sampling is out of scope.  The paper's unitary protocol tests the Choi state
-with the three-copy swap test; the default unitary engine reads the Choi
-state's covariance instead, computed from U without building the Choi state.
+Swap tests are evaluated analytically on state vectors; finite-shot
+sampling is out of scope.  The three-copy test is the paper's circuit,
+W_theta on psi ox psi and a swap test against psi, with each factor of
+W_theta a signed bit flip (clifford._majorana_flip).  The paper's unitary
+protocol runs it on the Choi vector; the default unitary engine reads the
+Choi state's covariance instead, computed from U without the Choi state.
 """
 
 from __future__ import annotations
@@ -31,26 +33,41 @@ class Verdict(namedtuple("Verdict", "is_gaussian reason margin p_accept", defaul
     __slots__ = ()
 
 
+def _beam_split(v: np.ndarray, c, s) -> np.ndarray:
+    """prod_j (c + s gamma_j gamma_{2n+j}) on a two-copy vector held as the 2^n x 2^n matrix v.
+
+    gamma_j gamma_{2n+j} = gamma_j P ox gamma_j, with P the parity, so each
+    factor flips both axes of v: v <- c v + s (gamma_j P) v gamma_j^T.  The
+    factors commute; (c, s) = (cos, sin)(theta/2) gives W_theta.
+    """
+    n = clifford.num_qubits(v)
+    par = 1.0 - 2.0 * (clifford.popcounts(n) & 1)
+    for j in range(1, 2 * n + 1):
+        src, sign = clifford._majorana_flip(j, n)
+        v = c * v + s * (sign * par[src])[:, None] * v[src][:, src] * sign
+    return v
+
+
+def _swap_test(psi: np.ndarray) -> Verdict:
+    """Swap test of a unit vector psi against psi boxtimes psi: p = (1 + ||<psi| W psi psi||^2)/2."""
+    w = _beam_split(np.outer(psi, psi), np.cos(np.pi / 8), np.sin(np.pi / 8))
+    p = 0.5 * (1.0 + float(np.linalg.norm(psi.conj() @ w)) ** 2)
+    return Verdict(is_gaussian=bool(p >= 1.0 - EPS_TEST), reason="", margin=1.0 - p, p_accept=p)
+
+
 def gaussian_state_test(psi: np.ndarray) -> Verdict:
     """Pure-state protocol: the parity check, then psi against psi boxtimes psi.
 
     psi must be a pure state; one of indefinite parity is not Gaussian.  The
     swap test accepts with p = (1 + <psi| psi boxtimes psi |psi>)/2, which
-    equals 1 iff psi is fermionic Gaussian.  The overlap is read in the
-    moment domain, by Parseval: Tr psi c = 2^-n Re sum_J conj(psi_J) c_J.
+    equals 1 iff psi is fermionic Gaussian.  It runs on psi's top
+    eigenvector, whose global phase drops out of p.
     """
-    # the one test that runs the polynomial engine loads it
-    from . import convolution, grassmann, measures
-
     clifford.assert_state(psi)
-    measures.assert_pure(psi)
+    clifford.assert_pure(psi)
     if not clifford.is_even(psi):
         return Verdict(is_gaussian=False, reason="not-even", margin=None)
-    xi = grassmann.GrassmannPoly(2 * clifford.num_qubits(psi), clifford._moments(psi))
-    conv = convolution.convolve_moments(xi, xi)
-    overlap = float(np.real(np.vdot(xi.coeffs, conv.coeffs))) / psi.shape[0]
-    p = 0.5 * (1.0 + overlap)
-    return Verdict(is_gaussian=bool(p >= 1.0 - EPS_TEST), reason="", margin=1.0 - p, p_accept=p)
+    return _swap_test(np.linalg.eigh(psi)[1][:, -1])
 
 
 def even_unitary_test(u: np.ndarray) -> bool:
@@ -59,47 +76,51 @@ def even_unitary_test(u: np.ndarray) -> bool:
     return clifford.is_even(u)
 
 
-def max_entangled_fermionic(n: int) -> np.ndarray:
-    """rho_I = 2^{-2n} prod_j (1 + i gamma_j gamma_{2n+j}) on 2n qubits.
+def _choi_vector(u: np.ndarray) -> np.ndarray:
+    """(U ox I)|Phi_I>, with rho_I = |Phi_I><Phi_I|, as a 2^n x 2^n two-copy matrix.
 
-    Expanding the product, each subset S of the 2n pairs gives the moment of
-    gamma_{S | S << 2n}: i^|S| times the sign (-1)^{|S|(|S|-1)/2} of moving
-    every gamma_{2n+j} behind all the gamma_j, which is 1 for even |S| and i
-    for odd |S|.
+    |Phi_I> is |0...0 1...1> projected by prod_j (1 + i gamma_j gamma_{2n+j})/2
+    and normalised; |0...0 0...0> has no overlap with it.
     """
-    m = 2 * n
-    s = np.arange(1 << m)
-    c = np.zeros(1 << (2 * m), dtype=complex)
-    c[s | (s << m)] = np.where(clifford.popcounts(m) % 2, 1j, 1.0)
-    return clifford.from_moments(c, m)
+    d = u.shape[0]
+    v = np.zeros((d, d), dtype=complex)
+    v[0, d - 1] = 1.0
+    v = _beam_split(v, 0.5, 0.5j)
+    return u @ (v / np.linalg.norm(v))
+
+
+def max_entangled_fermionic(n: int) -> np.ndarray:
+    """rho_I = 2^{-2n} prod_j (1 + i gamma_j gamma_{2n+j}) on 2n qubits, the Choi state of I."""
+    return choi_state(np.eye(1 << n, dtype=complex))
 
 
 def choi_state(u: np.ndarray) -> np.ndarray:
     """(U ox I) rho_I (U ox I)^dag for a unitary U on n qubits."""
     clifford.assert_unitary(u)
-    n = clifford.num_qubits(u)
-    rho_i = max_entangled_fermionic(n)
-    big = np.kron(u, np.eye(1 << n, dtype=complex))
-    return big @ rho_i @ big.conj().T
+    phi = _choi_vector(u).ravel()
+    return np.outer(phi, phi.conj())
 
 
 def choi_covariance_block(u: np.ndarray) -> np.ndarray:
     """R_jk = 2^-n Tr(gamma_k U gamma_j U^dag): U gamma_j U^dag projected on the gamma_k.
 
     R is the block of the Choi state's covariance that pairs the two halves
-    (covariance(choi_state(u))[2n:, :2n] = -R), read off U directly.
+    (covariance(choi_state(u))[2n:, :2n] = -R), read off U by the flips of
+    the gamma_j: a row flip of U^dag, and a signed sum over one permuted diagonal.
     """
     n = clifford.num_qubits(u)
-    g = np.stack([clifford.majorana(j, n) for j in range(1, 2 * n + 1)])
-    ugu = u @ g @ u.conj().T
-    return np.einsum("kab,jba->jk", g, ugu).real / (1 << n)
+    flips = [clifford._majorana_flip(j, n) for j in range(1, 2 * n + 1)]
+    src, sign = map(np.stack, zip(*flips))
+    ugu = u @ (sign[:, :, None] * u.conj().T[src])
+    diag = ugu[:, src, np.arange(1 << n)]  # diag[j, k, a] = (U gamma_j U^dag)[src_k[a], a]
+    return np.einsum("ka,jka->jk", sign, diag).real / (1 << n)
 
 
 def gaussian_unitary_test(u: np.ndarray, engine: str = "cumulant") -> Verdict:
     """U is Gaussian iff it is even and its Choi state is Gaussian.
 
     engine: "dense" runs the paper's three-copy swap protocol on the Choi
-    state.  "cumulant" reads the Choi state's degree-2 cumulants, the block
+    vector.  "cumulant" reads the Choi state's degree-2 cumulants, the block
     R of choi_covariance_block: the Choi state is pure, and a pure state is
     Gaussian iff its covariance is orthogonal (Bravyi, quant-ph/0404180),
     i.e. iff every U gamma_j U^dag lies in span{gamma_k} (Jozsa & Miyake,
@@ -112,7 +133,7 @@ def gaussian_unitary_test(u: np.ndarray, engine: str = "cumulant") -> Verdict:
     if not even_unitary_test(u):
         return Verdict(is_gaussian=False, reason="not-even", margin=None)
     if engine == "dense":
-        res = gaussian_state_test(choi_state(u))
+        res = _swap_test(_choi_vector(u).ravel())
         ok, margin = res.is_gaussian, res.margin
     else:
         r = choi_covariance_block(u)

@@ -127,6 +127,17 @@ def max_entangled_product(n):
     return rho / d
 
 
+def moment_swap_test_p(psi):
+    """Oracle p_accept of the three-copy test, read in the moment domain.
+
+    One 2n-generator product gives psi boxtimes psi's moments, and Parseval
+    the overlap: Tr psi c = 2^-n Re sum_J conj(psi_J) c_J.
+    """
+    xi = grassmann.GrassmannPoly(2 * clifford.num_qubits(psi), clifford.moments(psi))
+    conv = convolution.convolve_moments(xi, xi)
+    return 0.5 * (1.0 + float(np.real(np.vdot(xi.coeffs, conv.coeffs))) / psi.shape[0])
+
+
 def choi_super_quadratic_mass(u):
     """Oracle K_M of the Choi state: U is Gaussian iff it is even and this is ~0."""
     return measures.cumulant_weights(testing.choi_state(u))[2]

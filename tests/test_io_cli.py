@@ -43,6 +43,22 @@ def test_parse_errors(text, code):
     assert exc.value.code == code
 
 
+def test_parse_reads_the_header_before_the_body():
+    """An oversized header is refused without splitting the body: under 1 MB beyond the text."""
+    import tracemalloc
+
+    text = "dim 1048576\n" + "1 0\n" * (1 << 20)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ferro.InputError) as exc:
+            io.parse_array(text, 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert exc.value.code == "E_TOO_LARGE"
+    assert peak < 1 << 20
+
+
 def test_fmt_round_trips():
     for x in (0.1, 1 / 3, math.pi, 1e-300, -2.5e17):
         assert float(io.fmt(x)) == x
@@ -412,9 +428,9 @@ COMMAND_MODULES = {
     "fig2 --kmax 1 --grid 3 --out {out}": {"cli", "io", "states"} | _ENGINE,
     "weights --grid 3 --out {out}": {"cli", "io", "states"} | _ENGINE,
     "renyi --kmax 1 --grid 3 --out {out}": {"cli", "io", "states"} | _ENGINE,
-    "test-state {psi}": {"cli", "io", "testing"} | _ENGINE,
+    "test-state {psi}": {"cli", "clifford", "io", "testing"},
     "test-unitary {u}": {"cli", "clifford", "io", "testing"},
-    "test-unitary {u} --engine dense": {"cli", "io", "testing"} | _ENGINE,
+    "test-unitary {u} --engine dense": {"cli", "clifford", "io", "testing"},
     "clt {psi} --kmax 1 --out {out}": {"cli", "io"} | _ENGINE,
     "decompose --modes 2 --out {out}": {"cli", "circuits"},
     "test-state {bad}": {"cli", "io"},
@@ -474,8 +490,26 @@ def test_cli_runs_without_dense_beam_splitter(tmp_path, monkeypatch):
     assert cli.main(["clt", str(f), "--engine", "dense", "--out", str(tmp_path / "c.csv")]) == 0
 
 
+def test_cli_builds_no_dense_majorana(tmp_path, monkeypatch):
+    """Every command that takes a state or a unitary runs without a dense Majorana matrix."""
+    def refuse(j, n):
+        raise AssertionError("a dense Majorana matrix was built")
+
+    monkeypatch.setattr(clifford, "majorana", refuse)
+    psi, u, out = tmp_path / "psi.txt", tmp_path / "u.txt", str(tmp_path / "out.csv")
+    psi.write_text(io.write_array(states.magic_state_vector(2.0)))
+    u.write_text(io.write_array(np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)))
+    for argv in (["test-state", str(psi)],
+                 ["test-unitary", str(u)], ["test-unitary", str(u), "--engine", "dense"],
+                 ["clt", str(psi), "--kmax", "1", "--out", out],
+                 ["fig2", "--kmax", "1", "--grid", "3", "--out", out],
+                 ["weights", "--grid", "3", "--out", out],
+                 ["renyi", "--kmax", "1", "--grid", "3", "--out", out]):
+        assert cli.main(argv) == 0, argv
+
+
 def test_cli_unitary_verdict_skips_choi_state(tmp_path, monkeypatch, capsys):
-    """The covariance engine never builds the Choi state or its cumulants; dense still does."""
+    """Neither engine builds the Choi state's density matrix or its cumulants."""
     from ferro import grassmann, testing
 
     from helpers import parity_block_unitary, random_gaussian_unitary
@@ -504,8 +538,8 @@ def test_cli_unitary_verdict_skips_choi_state(tmp_path, monkeypatch, capsys):
                 assert "engine: cumulant" in out and f"verdict: {verdict}\n" in out
                 assert (f"reason: {reason}" in out) if reason else ("reason:" not in out)
     f.write_text(io.write_array(random_gaussian_unitary(rng, 2)[0]))
-    with pytest.raises(ChoiRoute):
-        cli.main(["test-unitary", str(f), "--engine", "dense"])
+    assert cli.main(["test-unitary", str(f), "--engine", "dense"]) == 0
+    assert "verdict: gaussian\n" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("engine", ["dense", "cumulant"])

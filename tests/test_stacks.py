@@ -91,7 +91,7 @@ def test_pure_stack_matches_rows(rng, name):
 def test_checks_pass_on_a_stack(rng):
     clifford.assert_state(even_stack(rng, 2))
     clifford.assert_even_state(even_stack(rng, 2))
-    measures.assert_pure(pure_stack(rng, 2))
+    clifford.assert_pure(pure_stack(rng, 2))
     mixed_parity = even_stack(rng, 2, rows=3)
     mixed_parity[1] = ODD
     assert clifford.is_even(mixed_parity).tolist() == [True, False, True]
@@ -128,7 +128,7 @@ REJECTING = {
     "clifford.moments": (clifford.moments, [NOT_A_STATE]),
     "grassmann.cumulants": (grassmann.cumulants, [NOT_A_STATE, ODD]),
     "gaussian.gaussification": (gaussian.gaussification, [NOT_A_STATE, ODD]),
-    "measures.assert_pure": (measures.assert_pure, [MIXED_EVEN]),
+    "clifford.assert_pure": (clifford.assert_pure, [MIXED_EVEN]),
     "measures.ng_entropies": (lambda r: measures.ng_entropies(r, 2),
                               [NOT_A_STATE, ODD, MIXED_EVEN]),
     "measures.ng_relative_entropy": (measures.ng_relative_entropy, [NOT_A_STATE, ODD]),

@@ -11,6 +11,7 @@ from helpers import (
     choi_super_quadratic_mass,
     computational_state,
     max_entangled_product,
+    moment_swap_test_p,
     parity_block_unitary,
     quartic_unitary,
     random_gaussian_state,
@@ -45,7 +46,7 @@ def test_state_test_rejects_magic_state():
 
 
 def test_state_test_reads_overlap_from_moments(rng, monkeypatch):
-    """The swap-test overlap is a moment-domain Parseval sum: no matrix is rebuilt."""
+    """The swap-test overlap matches the channel's and rebuilds no matrix from moments."""
     psi = states.magic_state(2.0)
     want = 0.5 * (1.0 + np.real(np.trace(psi @ convolution.convolve(psi, psi))))
 
@@ -55,6 +56,28 @@ def test_state_test_reads_overlap_from_moments(rng, monkeypatch):
     monkeypatch.setattr(clifford, "from_moments", refuse)
     assert abs(testing.gaussian_state_test(psi).p_accept - want) < 1e-12
     assert testing.gaussian_state_test(random_gaussian_state(rng, 3, pure=True)).is_gaussian
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_state_test_matches_moment_oracle(rng, n):
+    """The circuit on state vectors gives the moment domain's p_accept."""
+    corpus = [random_pure_even_state(rng, n) for _ in range(3)]
+    if n == 4:
+        corpus += [states.magic_state(phi) for phi in (0.0, 1e-3, 1.0, math.pi / 2, math.pi)]
+    for psi in corpus:
+        assert abs(testing.gaussian_state_test(psi).p_accept - moment_swap_test_p(psi)) < 1e-12
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_state_test_known_answers_above_the_cap(rng, n):
+    """magic(phi) ox vacuum, rotated by a Gaussian unitary, keeps its 4-mode p_accept."""
+    vacuum = np.eye(1 << (n - 4))[0]
+    u = random_gaussian_unitary(rng, n)[0]
+    for phi, p in ((math.pi / 2, 0.890625), (math.pi, 25 / 32), (0.0, 1.0)):
+        psi = u @ np.kron(states.magic_state_vector(phi), vacuum)
+        res = testing.gaussian_state_test(np.outer(psi, psi.conj()))
+        assert abs(res.p_accept - p) < 1e-12
+        assert res.is_gaussian == (phi == 0.0)
 
 
 def test_state_test_rejects_mixed_input():

@@ -1,7 +1,9 @@
 """One validation boundary: every public function that takes a state checks it, with no switch."""
 
 import inspect
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -47,7 +49,7 @@ def test_no_public_function_takes_a_check_switch():
 # library entry points, and the writer of the CLI's state files and the
 # reader of its netlists.
 PAPER_API = {
-    "clifford.moments", "gaussian.covariance", "gaussian.gaussification",
+    "clifford.majorana", "clifford.moments", "gaussian.covariance", "gaussian.gaussification",
     "convolution.convolve", "convolution.complementary_convolve",
     "convolution.iterate_conv", "convolution.iterate_conv_linear",
     "measures.moment_weights", "measures.ng_entropy", "measures.ng_entropy_mixed",
@@ -60,7 +62,16 @@ BENCHMARK_PINNED = {
     "clifford.partial_trace_second", "convolution.conv_unitary",
     "gaussian.gaussian_from_covariance", "gaussian.gaussian_unitary",
     "gaussian.pfaffian", "gaussian.quadratic_hamiltonian", "grassmann.g_exp",
+    "testing.choi_state", "testing.max_entangled_fermionic",
 }
+
+
+def test_pinned_names_are_benchmark_metrics():
+    """Every pinned function is timed or counted by a per-layer metric of BENCHMARK.json."""
+    spec = json.loads((Path(__file__).parents[1] / "BENCHMARK.json").read_text())
+    metrics = {m["name"] for m in spec["per_layer"]}
+    assert sorted(name for name in BENCHMARK_PINNED
+                  if not {f"{name}.s", f"{name}.calls"} & metrics) == []
 
 
 def test_runtime_is_what_the_cli_reaches(tmp_path, monkeypatch):
@@ -163,7 +174,7 @@ def test_input_errors_carry_their_check_code():
     cases = [(clifford.assert_state, NOT_A_STATE, "E_NOT_A_STATE"),
              (clifford.assert_even_state, ODD, "E_NOT_EVEN_STATE"),
              (clifford.assert_unitary, 2 * np.eye(4), "E_NOT_UNITARY"),
-             (measures.assert_pure, np.eye(16) / 16, "E_NOT_PURE")]
+             (clifford.assert_pure, np.eye(16) / 16, "E_NOT_PURE")]
     for check, arg, code in cases:
         with pytest.raises(ferro.InputError) as exc:
             check(arg)
@@ -292,10 +303,9 @@ def test_fig2_validates_once(tmp_path, monkeypatch):
     assert (len(calls), len(tables)) == (1, 1)
 
 
-@pytest.mark.parametrize("engine,checks", [("cumulant", 1), ("dense", 2)])
+@pytest.mark.parametrize("engine,checks", [("cumulant", 1), ("dense", 1)])
 def test_test_unitary_validates(tmp_path, monkeypatch, engine, checks):
-    """test-unitary leaves the check of U to the parity test; the dense engine's Choi state
-    checks it once more."""
+    """test-unitary leaves the check of U to the parity test, with either engine."""
     from ferro import io
 
     f = tmp_path / "cz.txt"
