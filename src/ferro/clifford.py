@@ -244,7 +244,8 @@ def _clamped_spectrum(rho: np.ndarray) -> np.ndarray:
 
 def _von_neumann(w: np.ndarray):
     """-sum_i w_i log w_i over the last axis of a spectrum in [0, 1], with 0 log 0 = 0."""
-    return per_state(-np.sum(w * np.log(np.where(w > 0, w, 1.0)), axis=-1))
+    # + 0.0 turns -0 into 0, as for the other orders
+    return per_state(-np.sum(w * np.log(np.where(w > 0, w, 1.0)), axis=-1) + 0.0)
 
 
 def entropy(rho: np.ndarray, alpha: float = 1.0):
@@ -252,7 +253,7 @@ def entropy(rho: np.ndarray, alpha: float = 1.0):
 
     A float for one state, an array of them for a stack (..., d, d).
     """
-    if alpha < 0:
+    if not alpha >= 0:  # NaN too
         raise ValueError("Renyi order must be nonnegative")
     w = _clamped_spectrum(rho)
     if alpha == 1.0:

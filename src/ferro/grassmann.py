@@ -11,14 +11,13 @@ three half-products recurse depth first into the output's halves and end in
 a table of disjoint mask pairs with their signs over at most eight
 generators, which runs the rows of a stack in chunks.  The table is built by
 the same split: each pair (I, J) below the top generator t gives (I, J),
-(I + t, J) with sign (-1)^|J| and (I, J + t).  The product is
-parity blocked at every level: each factor carries two flags, whether its
-even and its odd part may be nonzero, set by an exact zero test of the whole
-stack on entry.  p0 keeps p's flags and p1 swaps them, and the base case
-reads only the (|I| mod 2, |J| mod 2) blocks of the pair table where both
-factors may be nonzero.  Moment, cumulant and covariance polynomials of even
-states are even, so their products read one block in four; dense input
-reads all four.
+(I + t, J) with sign (-1)^|J| and (I, J + t).  Each factor carries the set
+of degrees at which some coefficient of its stack is nonzero, an exact zero
+test on entry; p0 keeps p's set and p1 takes it shifted down by one.  A
+half-product whose two lowest degrees sum past its generator count is
+skipped, and the base case reads only the pairs (I, J) with |I| and |J| in
+the two sets.  So even factors read one parity block in four, and the
+powers of a log series skip the low degrees at which they vanish.
 """
 
 from __future__ import annotations
@@ -75,12 +74,12 @@ def _grade_sign(nbits: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _pair_table(nbits: int, blocks: int):
+def _pair_table(nbits: int, da: int, db: int):
     """Disjoint mask pairs (I, J) sorted by K = I|J, then I, with eta_I eta_J = sign * eta_K.
 
     Built by the product's split on each top generator t in turn (see the
-    module docstring), then filtered: only pairs whose parity block
-    (|I| mod 2, |J| mod 2) = (x, y) has bit x + 2y set in `blocks` are kept.
+    module docstring), then filtered: only pairs with |I| in the degree set
+    da and |J| in db are kept (see _degrees).
     Returns I, J, the sign, the sign times (-1)^|J|, the index of the K of
     each group (a full slice when every K occurs) and the start of each group.
     """
@@ -90,8 +89,8 @@ def _pair_table(nbits: int, blocks: int):
     for t in (1 << bit for bit in range(nbits)):
         sign = np.concatenate([sign, sign * grade[j], sign])
         i, j = np.concatenate([i, i | t, i]), np.concatenate([j, j, j | t])
-    par = popcounts(nbits) & 1
-    keep = (blocks >> (par[i] + 2 * par[j])) & 1 == 1
+    deg = popcounts(nbits)
+    keep = (da >> deg[i]) & (db >> deg[j]) & 1 == 1
     order = np.lexsort((i[keep], (i | j)[keep]))
     i, j, sign = i[keep][order], j[keep][order], sign[keep][order]
     ks, starts = np.unique(i | j, return_index=True)
@@ -103,37 +102,36 @@ def _pair_table(nbits: int, blocks: int):
     return table
 
 
-def _parity_flags(c: np.ndarray) -> int:
-    """Bit 0 set when an even-degree coefficient of any row is nonzero, bit 1 for odd degree.
+def _degrees(c: np.ndarray) -> int:
+    """Bit d set when a degree-d coefficient of any row of a stack (..., 2^k) is nonzero.
 
-    An exact test: a coefficient as small as it may be still sets its flag.
+    An exact test: a coefficient as small as it may be still sets its bit.
     """
-    nz = np.any(c != 0, axis=0)
-    par = popcounts(c.shape[1].bit_length() - 1) & 1
-    return int(nz[par == 0].any()) | int(nz[par == 1].any()) << 1
+    nz = np.any(c.reshape(-1, c.shape[-1]) != 0, axis=0)
+    return int(np.bitwise_or.reduce(1 << popcounts(c.shape[-1].bit_length() - 1)[nz], initial=0))
 
 
-def _swap(flags: int) -> int:
-    """Flags of the eta_m part p1 of p = p0 + p1 eta_m: its degrees are one below p's."""
-    return (flags & 1) << 1 | flags >> 1
+def _lowest_degree(degrees: int) -> int:
+    """Lowest degree in a degree set (see _degrees), or -1 for the empty set."""
+    return (degrees & -degrees).bit_length() - 1
 
 
 def _mul_into(a: np.ndarray, b: np.ndarray, out: np.ndarray, inv: bool, s: float,
-              fa: int, fb: int) -> None:
+              da: int, db: int) -> None:
     """out += s * a b' row by row; b' is b, or its grade involution when inv is set.
 
-    a, b and out have shape (rows, 2^k); fa and fb are the parity flags of a
-    and b (see _parity_flags), and a block that a flag rules out is skipped.
+    a, b and out have shape (rows, 2^k); da and db are degree sets of a and b
+    (see _degrees), and a pair of degrees outside them is skipped.
     With p = p0 + p1 eta_k and q = q0 + q1 eta_k on the top generator,
     pq = p0 q0 + (p0 q1 + p1 q0') eta_k where q0' is the grade involution of q0.
     """
-    if not fa or not fb:
-        return
     rows, size = a.shape
-    if size <= 1 << _BASE_GENERATORS:
-        blocks = sum(1 << (x + 2 * y) for x in (0, 1) for y in (0, 1)
-                     if fa >> x & 1 and fb >> y & 1)
-        i, j, sign, sign_inv, ks, starts = _pair_table(size.bit_length() - 1, blocks)
+    k = size.bit_length() - 1
+    da, db = da & (2 << k) - 1, db & (2 << k) - 1
+    if not da or not db or _lowest_degree(da) + _lowest_degree(db) > k:
+        return
+    if k <= _BASE_GENERATORS:
+        i, j, sign, sign_inv, ks, starts = _pair_table(k, da, db)
         sign = s * (sign_inv if inv else sign)
         step = max(1, _TERMS // len(i))
         for r in range(0, rows, step):
@@ -144,9 +142,9 @@ def _mul_into(a: np.ndarray, b: np.ndarray, out: np.ndarray, inv: bool, s: float
         return
     # depth first into the output's halves; the involution of b is b0' - b1' eta_k
     h = size >> 1
-    _mul_into(a[:, :h], b[:, :h], out[:, :h], inv, s, fa, fb)
-    _mul_into(a[:, :h], b[:, h:], out[:, h:], inv, -s if inv else s, fa, _swap(fb))
-    _mul_into(a[:, h:], b[:, :h], out[:, h:], not inv, s, _swap(fa), fb)
+    _mul_into(a[:, :h], b[:, :h], out[:, :h], inv, s, da, db)
+    _mul_into(a[:, :h], b[:, h:], out[:, h:], inv, -s if inv else s, da, db >> 1)
+    _mul_into(a[:, h:], b[:, :h], out[:, h:], not inv, s, da >> 1, db)
 
 
 def g_mul(p: GrassmannPoly, q: GrassmannPoly) -> GrassmannPoly:
@@ -159,14 +157,8 @@ def g_mul(p: GrassmannPoly, q: GrassmannPoly) -> GrassmannPoly:
     shape = a.shape
     a, b = a.reshape(-1, shape[-1]), b.reshape(-1, shape[-1])
     out = np.zeros(a.shape, dtype=complex)
-    _mul_into(a, b, out, False, 1.0, _parity_flags(a), _parity_flags(b))
+    _mul_into(a, b, out, False, 1.0, _degrees(a), _degrees(b))
     return GrassmannPoly(p.generators, out.reshape(shape))
-
-
-def _lowest_degree(p: GrassmannPoly) -> int | None:
-    """Lowest degree with a nonzero coefficient in any row, or None for zero."""
-    nz = np.flatnonzero(np.any(p.coeffs.reshape(-1, 1 << p.generators) != 0, axis=0))
-    return int(popcounts(p.generators)[nz].min()) if len(nz) else None
 
 
 # g_exp has no runtime caller; it stays while the benchmark names it as a
@@ -182,8 +174,8 @@ def g_exp(p: GrassmannPoly) -> GrassmannPoly:
     """
     if np.any(p.coeffs[..., 0] != 0):
         raise ValueError("g_exp needs a zero constant term")
-    d = _lowest_degree(p)
-    top = p.generators // d if d else 1
+    d = _lowest_degree(_degrees(p.coeffs))
+    top = p.generators // d if d > 0 else 1
     e = p.coeffs / top
     e[..., 0] = 1.0
     for k in range(top - 1, 0, -1):
@@ -202,8 +194,8 @@ def g_log(p: GrassmannPoly) -> GrassmannPoly:
         raise ValueError("g_log needs a unit constant term")
     x = GrassmannPoly(p.generators, p.coeffs.copy())
     x.coeffs[..., 0] = 0.0
-    d = _lowest_degree(x)
-    if d is None:
+    d = _lowest_degree(_degrees(x.coeffs))
+    if d < 0:
         return x
     out = x.coeffs.copy()
     power = x

@@ -65,8 +65,7 @@ def _gaussified_entropy(xi: grassmann.GrassmannPoly):
     rho it is the relative entropy of non-Gaussianity itself.
     """
     lam = np.linalg.eigvalsh(1j * gaussian._gaussified_covariance(xi.coeffs))
-    # clamped so that a Gaussian's rounding reads 0, not -0
-    return np.maximum(clifford._von_neumann(np.clip((1.0 + lam) / 2, 0.0, 1.0)), 0.0)
+    return clifford._von_neumann(np.clip((1.0 + lam) / 2, 0.0, 1.0))
 
 
 def ng_entropies(psi: np.ndarray, kmax: int, alpha: float = 1.0) -> list:

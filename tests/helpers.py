@@ -297,14 +297,16 @@ def embed_disjoint(p, q):
     return grassmann.GrassmannPoly(m, out)
 
 
-def pair_table_reference(nbits, blocks):
-    """grassmann._pair_table(nbits, blocks) built from the grid of all mask pairs.
+def pair_table_reference(nbits, da, db):
+    """grassmann._pair_table(nbits, da, db) built from the grid of all mask pairs.
 
     The disjoint pairs of the grid are sorted stably by K = I|J (so by I
     within a group), signed by the inversion count of each pair (x in I,
-    y in J, x > y) bit by bit, and then filtered by parity block.
+    y in J, x > y) bit by bit, and then filtered by the degree sets:
+    |I| in da, |J| in db.
     """
-    par = grassmann.popcounts(nbits) & 1
+    deg = grassmann.popcounts(nbits)
+    par = deg & 1
     masks = np.arange(1 << nbits, dtype=np.int64)
     i, j = (m.ravel() for m in np.meshgrid(masks, masks, indexing="ij"))
     keep = (i & j) == 0
@@ -315,7 +317,7 @@ def pair_table_reference(nbits, blocks):
         has = (i >> bit) & 1 == 1
         sign[has] *= 1.0 - 2.0 * par[j[has] & ((1 << bit) - 1)]
     sign_inv = sign * (1.0 - 2.0 * par[j])
-    keep = (blocks >> (par[i] + 2 * par[j])) & 1 == 1
+    keep = (da >> deg[i]) & (db >> deg[j]) & 1 == 1
     i, j, sign, sign_inv = i[keep], j[keep], sign[keep], sign_inv[keep]
     ks, starts = np.unique(i | j, return_index=True)
     return i, j, sign, sign_inv, ks, starts

@@ -125,9 +125,13 @@ def test_entropy_values():
     for alpha in (0.0, 0.5, 1.0, 2.0, math.inf):
         assert abs(clifford.entropy(pure, alpha)) < 1e-12
     assert abs(clifford.entropy(np.eye(2, dtype=complex) / 2, 2.0) - math.log(2)) < 1e-12
-    # the Renyi orders give a pure state +0, not -0
-    for alpha in (0.0, 0.5, 2.0, 1000.0, math.inf):
+    # every order gives a pure state +0, not -0
+    for alpha in (0.0, 0.5, 1.0, 2.0, 1000.0, math.inf):
         assert math.copysign(1.0, clifford.entropy(pure, alpha)) == 1.0
+    # a negative order is refused, and so is NaN
+    for alpha in (-0.5, math.nan):
+        with pytest.raises(ValueError, match="nonnegative"):
+            clifford.entropy(pure, alpha)
     # w^alpha underflows at large alpha; the entropy must not
     assert abs(clifford.entropy(np.eye(8, dtype=complex) / 8, 1000.0) - math.log(8)) < 1e-12
 

@@ -244,6 +244,29 @@ def count_products(monkeypatch):
     return calls
 
 
+def count_pair_terms(monkeypatch):
+    """Length of every pair table the base case looks up: its pair terms per row."""
+    terms = []
+    table = grassmann._pair_table
+
+    def counted(*key):
+        terms.append(len(table(*key)[0]))
+        return table(*key)
+
+    monkeypatch.setattr(grassmann, "_pair_table", counted)
+    return terms
+
+
+def test_cumulant_powers_skip_their_low_degrees(rng, monkeypatch):
+    """6-mode cumulants read at most 40% of 664,305 pair terms, the count when only parity is read.
+
+    x^k has no degree below 2k, so the series' later products skip most pairs.
+    """
+    terms = count_pair_terms(monkeypatch)
+    grassmann.cumulants(random_even_state(rng, 6))
+    assert 0 < sum(terms) <= 0.4 * 664_305
+
+
 def test_g_log_stops_at_the_nilpotency_degree(monkeypatch):
     """x = sum_i eta_{2i-1} eta_{2i} has x^6 != 0 at 12 generators: 5 products, no more."""
     gens = 12
@@ -303,6 +326,21 @@ def test_g_mul_memory_16_generators(rng):
     finally:
         tracemalloc.stop()
     assert peak <= 6e6
+
+
+def test_pair_tables_of_a_dense_log_stay_small(rng, monkeypatch):
+    """A dense even 16-generator log caches one pair table per pair of degree sets, < 1 MB in all."""
+    gens = 16
+    coeffs = 0.1 * complex_array(rng, 1 << gens)
+    coeffs[grassmann.popcounts(gens) % 2 == 1] = 0.0
+    coeffs[0] = 1.0
+    table, keys = grassmann._pair_table, set()
+    table.cache_clear()
+    monkeypatch.setattr(grassmann, "_pair_table", lambda *key: keys.add(key) or table(*key))
+    grassmann.g_log(GrassmannPoly(gens, coeffs))
+    assert table.cache_info().currsize == len(keys) <= 30
+    nbytes = sum(arr.nbytes for key in keys for arr in table(*key) if isinstance(arr, np.ndarray))
+    assert nbytes <= 1e6
 
 
 def parity_poly(rng, gens, parity, terms=None):
@@ -369,34 +407,71 @@ def test_g_mul_keeps_a_tiny_odd_part(rng, rows):
     assert np.abs(got[~odd] - want_even[~odd]).max() <= 1e-12 * np.abs(want_even).max()
     # and the same as the product that reads every block
     dense = np.zeros((rows, 1 << gens), dtype=complex)
-    grassmann._mul_into(p, q.coeffs, dense, False, 1.0, 0b11, 0b11)
+    grassmann._mul_into(p, q.coeffs, dense, False, 1.0, -1, -1)
     assert np.abs(got - dense[-1]).max() <= 1e-12 * np.abs(dense).max()
     assert np.abs(got[odd] - dense[-1][odd]).max() <= 1e-12 * np.abs(want_odd).max()
 
 
+def degree_set_pairs(nbits):
+    """Degree sets of both factors: all, even, odd, even >= 2, the top degree only, and no fit."""
+    every = (2 << nbits) - 1
+    even = sum(1 << d for d in range(0, nbits + 1, 2))
+    odd, top = every & ~even, 1 << nbits
+    return [(every, every), (even, even), (even, odd), (odd, even), (odd, odd),
+            (even & ~1, even & ~1), (every, even & ~1), (top, every), (every, top), (top, top)]
+
+
 @pytest.mark.parametrize("nbits", range(1, 9))
 def test_pair_table_matches_the_grid_of_all_pairs(nbits):
-    """The table built by the product's doubling equals the grid's, in its order, per block set."""
-    for blocks in range(1, 16):
-        i, j, sign, sign_inv, ks, starts = grassmann._pair_table(nbits, blocks)
-        want = pair_table_reference(nbits, blocks)
+    """The table built by the product's doubling equals the grid's, in its order, per degree sets."""
+    for da, db in degree_set_pairs(nbits):
+        i, j, sign, sign_inv, ks, starts = grassmann._pair_table(nbits, da, db)
+        want = pair_table_reference(nbits, da, db)
         if isinstance(ks, slice):
             assert np.array_equal(want[4], np.arange(1 << nbits))
             ks = want[4]
         for got, ref in zip((i, j, sign, sign_inv, ks, starts), want):
-            assert got.dtype == ref.dtype and np.array_equal(got, ref), (nbits, blocks)
+            assert got.dtype == ref.dtype and np.array_equal(got, ref), (nbits, da, db)
 
 
 @pytest.mark.parametrize("gens,rows", [(8, 1), (12, 1), (8, 21)])
 def test_even_products_read_one_parity_block(rng, monkeypatch, gens, rows):
-    """Every pair table an even x even product looks up holds a single parity block."""
+    """Every degree set an even x even product looks up holds one parity; the first two are even."""
     p, q = (GrassmannPoly(gens, np.stack([parity_poly(rng, gens, 0).coeffs] * rows))
             for _ in range(2))
-    table, blocks = grassmann._pair_table, []
+    table, sets = grassmann._pair_table, []
     monkeypatch.setattr(grassmann, "_pair_table",
-                        lambda nbits, b: blocks.append(b) or table(nbits, b))
+                        lambda nbits, da, db: sets.extend((da, db)) or table(nbits, da, db))
     grassmann.g_mul(p, q)
-    assert blocks and all(b in (0b0001, 0b0010, 0b0100, 0b1000) for b in blocks)
+    even = sum(1 << d for d in range(0, gens + 1, 2))
+    assert sets and not (sets[0] | sets[1]) & ~even
+    assert all(not s & even or not s & ~even for s in sets)
+
+
+@pytest.mark.parametrize("lows", [(2, 2), (2, 3), (3, 3), ("half", "half"), ("half", "past")],
+                         ids=lambda lows: "x".join(map(str, lows)))
+def test_g_mul_skips_the_low_degrees_a_factor_lacks(lows):
+    """Factors with no degree below a lowest one, dense up to 6 generators and sparse above.
+
+    "half" is gens / 2 and "past" one more.  A product whose lowest degrees
+    sum past the generator count vanishes.
+    """
+    for gens in range(2, 13, 2):
+        rng = np.random.default_rng(gens)
+        pc = grassmann.popcounts(gens)
+        lowest = [{"half": gens // 2, "past": gens // 2 + 1}.get(low, low) for low in lows]
+        polys = []
+        for low in lowest:
+            coeffs = complex_array(rng, 1 << gens)
+            if gens > 6:
+                coeffs[rng.permutation(1 << gens)[30:]] = 0.0
+                coeffs[(1 << low) - 1] = 1.0  # a term at the lowest degree itself
+            coeffs[pc < low] = 0.0
+            polys.append(GrassmannPoly(gens, coeffs))
+        got = grassmann.g_mul(*polys)
+        assert_matches(got, compute_reference.g_mul_dict(*map(to_dict, polys)))
+        if sum(lowest) > gens:
+            assert not got.coeffs.any()
 
 
 def test_stacked_polynomials_match_rows(rng):
