@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from . import gaussian, grassmann
+from . import grassmann
 from .grassmann import GrassmannPoly
 
 DEFAULT_THETA = math.pi / 4
@@ -30,6 +30,8 @@ def conv_unitary(theta: float, n: int) -> np.ndarray:
     Satisfies W gamma_j W^dag = cos(theta) gamma_j - sin(theta) gamma_{2n+j}
     and W gamma_{2n+j} W^dag = sin(theta) gamma_j + cos(theta) gamma_{2n+j}.
     """
+    from . import gaussian  # only this oracle needs it
+
     h = np.zeros((4 * n, 4 * n))
     for j in range(2 * n):
         h[j, 2 * n + j] = theta / 2.0

@@ -3,8 +3,9 @@
 State files are line-oriented: a header `dim <2^q>`, q >= 1 (at least one
 mode), followed by one complex entry per line as `re im`.  A file with dim^2
 entry lines holds a matrix in row-major order; a file with dim entry lines
-holds a state vector.  A malformed file raises InputError with the fault's
-code and the line at fault, before numpy is loaded.
+holds a state vector, which must not be all zero.  A malformed file raises
+InputError with the fault's code and the line at fault, before numpy is
+loaded.
 """
 
 from __future__ import annotations
@@ -56,6 +57,8 @@ def parse_array(text: str, max_modes: int | None = None):
         entries.append(z)
     if len(entries) not in (dim, dim * dim):
         raise InputError("E_ENTRY_COUNT", f"got {len(entries)}, expected {dim} or {dim * dim}")
+    if len(entries) == dim and not any(entries):
+        raise InputError("E_ZERO_VECTOR")  # no state to normalise it to
     import numpy as np
 
     if len(entries) == dim:

@@ -5,6 +5,8 @@ also take a stack of states (or of cumulant polynomials) and give one value
 per state where they give a float for one state.
 _ng_entropies and _gaussified_entropy take a validated moment table, so
 fig2 reads its stack's table once for both.
+convolution and gaussian load inside the functions that call them, so
+`weights` loads neither and `renyi` no gaussian.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import math
 
 import numpy as np
 
-from . import clifford, convolution, gaussian, grassmann
+from . import clifford, grassmann
 
 
 def moment_weights(rho: np.ndarray):
@@ -64,6 +66,8 @@ def _gaussified_entropy(xi: grassmann.GrassmannPoly):
     2n x 2n spectrum in place of the 2^n x 2^n Gaussian state's.  For a pure
     rho it is the relative entropy of non-Gaussianity itself.
     """
+    from . import gaussian
+
     lam = np.linalg.eigvalsh(1j * gaussian._gaussified_covariance(xi.coeffs))
     return clifford._von_neumann(np.clip((1.0 + lam) / 2, 0.0, 1.0))
 
@@ -84,6 +88,8 @@ def ng_entropies(psi: np.ndarray, kmax: int, alpha: float = 1.0) -> list:
 
 def _ng_entropies(xi: grassmann.GrassmannPoly, kmax: int, alpha: float = 1.0) -> list:
     """ng_entropies of a pure even state, already validated, from its moment polynomial xi."""
+    from . import convolution
+
     out = []
     for _ in range(kmax):
         xi = convolution.convolve_moments(xi, xi)
@@ -98,6 +104,8 @@ def ng_entropy(psi: np.ndarray, k: int = 1, alpha: float = 1.0) -> float:
 
 def ng_entropy_mixed(rho: np.ndarray, k: int = 1) -> float:
     """Mixed-state extension S(boxtimes^k rho) - S(rho) of an even state."""
+    from . import convolution
+
     out = convolution.iterate_conv(rho, k)
     return max(clifford.entropy(out) - clifford.entropy(rho), 0.0)
 

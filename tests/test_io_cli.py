@@ -1,3 +1,4 @@
+import importlib
 import math
 import os
 import subprocess
@@ -35,6 +36,7 @@ def test_parse_vector_and_matrix(tmp_path):
         ("dim 2\n1 0 0\n0 0\n", "E_BAD_ENTRY"),
         ("dim 2\n1 0\n0 0\n0 0\n", "E_ENTRY_COUNT"),
         ("dim 2\n1 0\nnan 0\n", "E_NONFINITE"),
+        ("dim 2\n0 0\n-0 0\n", "E_ZERO_VECTOR"),
     ],
 )
 def test_parse_errors(text, code):
@@ -254,6 +256,7 @@ def test_cli_rejects_zero_vector(tmp_path, capsys, dim):
     text = io.write_array(np.zeros(dim, dtype=complex))
     _rejects(tmp_path, capsys, ["test-state"], text, "E_ZERO_VECTOR")
     _rejects(tmp_path, capsys, ["clt", "--out", str(tmp_path / "c.csv")], text, "E_ZERO_VECTOR")
+    _rejects(tmp_path, capsys, ["test-unitary"], text, "E_ZERO_VECTOR")
 
 
 def test_cli_rejects_mixed_state(tmp_path, capsys):
@@ -380,19 +383,26 @@ def test_cli_import_loads_numpy_only():
     assert res.stdout.strip() == "[]"
 
 
-def _fresh_python(code: str) -> str:
-    """stdout of `code` run by a fresh interpreter that imports ferro from this checkout."""
+def _fresh_run(code: str) -> subprocess.CompletedProcess:
+    """`code` run by a fresh interpreter that imports ferro from this checkout."""
     paths = [str(Path(ferro.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
-    res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                         timeout=120, check=True)
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120)
+
+
+def _fresh_python(code: str) -> str:
+    """stdout of `code` run by a fresh interpreter that imports ferro from this checkout."""
+    res = _fresh_run(code)
+    res.check_returncode()
     return res.stdout.strip()
 
 
 def test_decompose_and_argument_errors_skip_numpy(tmp_path):
     """`decompose`, each argument error and each malformed file finish before numpy is imported."""
     out = str(tmp_path / "x")
-    bad = {"nan": "dim 2\n1 0\nnan 0\n", "entry": "dim 2\n1 0\nfoo 0\n", "large": "dim 128\n1 0\n"}
+    bad = {"nan": "dim 2\n1 0\nnan 0\n", "entry": "dim 2\n1 0\nfoo 0\n", "large": "dim 128\n1 0\n",
+           "zero": "dim 4\n0 0\n0 0\n0 0\n0 0\n"}
     for name, text in bad.items():
         (tmp_path / name).write_text(text)
     runs = [
@@ -408,7 +418,7 @@ def test_decompose_and_argument_errors_skip_numpy(tmp_path):
     code = ("import sys, ferro, ferro.cli as cli\n"
             f"print([cli.main(argv) for argv in {runs!r}], 'numpy' in sys.modules,"
             " 'dataclasses' in sys.modules)")
-    assert _fresh_python(code) == "[0, 2, 2, 2, 2, 2, 2, 2, 2, 2] False False"
+    assert _fresh_python(code) == "[0, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2] False False"
 
 
 def test_package_loads_submodules_on_access():
@@ -426,8 +436,8 @@ def test_package_loads_submodules_on_access():
 _ENGINE = {"clifford", "convolution", "gaussian", "grassmann", "measures"}
 COMMAND_MODULES = {
     "fig2 --kmax 1 --grid 3 --out {out}": {"cli", "io", "states"} | _ENGINE,
-    "weights --grid 3 --out {out}": {"cli", "io", "states"} | _ENGINE,
-    "renyi --kmax 1 --grid 3 --out {out}": {"cli", "io", "states"} | _ENGINE,
+    "weights --grid 3 --out {out}": {"cli", "clifford", "grassmann", "io", "measures", "states"},
+    "renyi --kmax 1 --grid 3 --out {out}": {"cli", "io", "states"} | _ENGINE - {"gaussian"},
     "test-state {psi}": {"cli", "clifford", "io", "testing"},
     "test-unitary {u}": {"cli", "clifford", "io", "testing"},
     "test-unitary {u} --engine dense": {"cli", "clifford", "io", "testing"},
@@ -453,6 +463,37 @@ def test_commands_load_the_modules_readme_lists(tmp_path, command):
             "print(status, ' '.join(loaded), 'dataclasses' in sys.modules)")
     status = 2 if "{bad}" in command else 0
     assert _fresh_python(code) == f"{status} {' '.join(sorted(COMMAND_MODULES[command]))} False"
+
+
+def test_the_program_exits_with_a_frozen_heap(tmp_path):
+    """`python -m ferro.cli` freezes the heap before it exits, after a run and after an input
+    error, and atexit handlers still run; an in-process cli.main leaves the heap collectable."""
+    from ferro import circuits
+
+    net, bad = tmp_path / "net.txt", tmp_path / "bad.txt"
+    bad.write_text("dim 2\n1 0\nfoo 0\n")
+    runs = [(["decompose", "--modes", "2", "--out", str(net)], 0, ""),
+            (["test-state", str(bad)], 2, "error E_BAD_ENTRY: foo 0\n")]
+    for argv, status, err in runs:
+        code = ("import atexit, gc, runpy, sys\n"
+                "atexit.register(lambda: print(gc.get_freeze_count() > 0))\n"
+                f"sys.argv = ['ferro', *{argv!r}]\n"
+                "runpy.run_module('ferro.cli', run_name='__main__')\n")
+        res = _fresh_run(code)
+        assert (res.returncode, res.stdout, res.stderr) == (status, "True\n", err)
+    assert net.read_text() == circuits.emit_netlist(circuits.decompose_conv_unitary(math.pi / 4, 2))
+    code = ("import gc, ferro.cli as cli\n"
+            f"print(cli.main(['decompose', '--modes', '2', '--out', {str(net)!r}]), gc.get_freeze_count())")
+    assert _fresh_python(code) == "0 0"
+
+
+def test_console_script_is_the_module_entry():
+    """pyproject's `ferro` script names the function `python -m ferro.cli` runs."""
+    tomllib = pytest.importorskip("tomllib")
+    with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as f:
+        target = tomllib.load(f)["project"]["scripts"]["ferro"]
+    module, name = target.split(":")
+    assert getattr(importlib.import_module(module), name) is cli.entry
 
 
 @pytest.mark.parametrize("command,modes", [
